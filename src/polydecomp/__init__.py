@@ -7,7 +7,7 @@ conditions in generic coefficients that cut out the decomposable locus.
 All arithmetic is exact; floating point is never used.
 """
 
-from .approot import approx_root, root_defect
+from .approot import approx_root
 from .decide import (
     DecomposabilityVerdict,
     VarietySystem,
@@ -26,7 +26,6 @@ from .domain import (
     Rationals,
     ground_domain,
     polynomial_tower,
-    specialize,
 )
 from .errors import (
     DegreeNotDivisible,
@@ -42,11 +41,10 @@ from .errors import (
     UnknownVariable,
     VariableMismatch,
 )
-from .poly import NEG_INF, Poly, lift
+from .poly import NEG_INF, Poly
 
 __all__ = [
     "approx_root",
-    "root_defect",
     "DecomposabilityVerdict",
     "VarietySystem",
     "Witness",
@@ -66,7 +64,6 @@ __all__ = [
     "Rationals",
     "ground_domain",
     "polynomial_tower",
-    "specialize",
     "DegreeNotDivisible",
     "DivisionByZeroLiteral",
     "DomainMismatch",
@@ -81,7 +78,6 @@ __all__ = [
     "VariableMismatch",
     "NEG_INF",
     "Poly",
-    "lift",
 ]
 
 __version__ = "0.1.0"

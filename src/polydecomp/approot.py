@@ -15,15 +15,21 @@ from .errors import DegreeNotDivisible, InvalidOuterDegree, NotMonic
 from .poly import Poly
 
 
+def check_outer_degree(n: int, d, name: str) -> None:
+    """Require 2 <= d <= n with d dividing n; ``name`` is how the error
+    messages refer to n."""
+    if not isinstance(d, int) or d < 2 or d > n:
+        raise InvalidOuterDegree(f"d must satisfy 2 <= d <= {name} = {n}, got {d}")
+    if n % d:
+        raise DegreeNotDivisible(f"{d} does not divide {name} = {n}")
+
+
 def approx_root(p: Poly, d: int) -> Poly:
     """The unique monic q with deg(p - q**d) < deg(p) - deg(p)//d."""
     if not p.is_monic:
         raise NotMonic("approximate roots are defined for monic polynomials")
     n = p.degree
-    if not isinstance(d, int) or d < 2 or d > n:
-        raise InvalidOuterDegree(f"d must satisfy 2 <= d <= deg(p) = {n}, got {d}")
-    if n % d:
-        raise DegreeNotDivisible(f"{d} does not divide deg(p) = {n}")
+    check_outer_degree(n, d, "deg(p)")
     inv_d = p.domain.invert_integer(d)
     m = n // d
     q = Poly.monomial(p.domain, p.variable, 1, m)
@@ -34,10 +40,3 @@ def approx_root(p: Poly, d: int) -> Poly:
         if not b.is_zero:
             q = q + Poly.monomial(p.domain, p.variable, b, m - k)
     return q
-
-
-def root_defect(p: Poly, q: Poly, d: int):
-    """Degree of p - q**d; NEG_INF exactly when p is the d-th power of q."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidOuterDegree(f"d must be a positive integer, got {d}")
-    return (p - q**d).degree

@@ -10,7 +10,8 @@ Polynomial grammar (whitespace between tokens is ignored):
     ident    := letter (letter | digit)*
 
 Multiplication is always explicit ('2*x', never '2x') and '/' exists
-only inside rational literals.  Text output of format_poly re-parses to
+only inside rational literals.  Digits are ASCII only, and '(' and
+unary '-' nest at most MAX_DEPTH levels deep.  Text output re-parses to
 a structurally equal polynomial under this grammar.
 
 Exit codes: 0 for success (for check: decomposable), 2 for a well-formed
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,9 +46,10 @@ from .errors import (
     PolyDecompError,
     UnknownVariable,
 )
-from .poly import Poly
+from .poly import Poly, join_terms
 
 MAX_EXPONENT = 10_000
+MAX_DEPTH = 100
 
 
 class UsageError(PolyDecompError):
@@ -59,6 +62,9 @@ class UsageError(PolyDecompError):
 # parsing
 
 
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
@@ -69,8 +75,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             pos += 1
             continue
         start = pos
-        if ch.isdigit():
-            while pos < end and text[pos].isdigit():
+        if ch in _DIGITS:
+            while pos < end and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("number", text[start:pos], start))
         elif ch.isalpha():
@@ -86,6 +92,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # beyond the interpreter's int/str digit limit
+        raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
+
+
 class _Parser:
     """Recursive descent over the token list, building Poly values."""
 
@@ -96,6 +109,7 @@ class _Parser:
         self.main = main
         self.others = set(others)
         self.field = field
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -139,27 +153,33 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             tok = self.expect("number")
-            e = int(tok[1])
+            e = _int(tok)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} is too large", tok[2])
             atom = atom**e
         return atom
 
     def atom(self) -> Poly:
-        kind, text, pos = self.take()
-        if kind == "-":
-            return -self.factor()
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
+        tok = self.take()
+        kind, text, pos = tok
+        if kind in ("-", "("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+            self.depth += 1
+            if kind == "-":
+                node = -self.factor()
+            else:
+                node = self.expr()
+                self.expect(")")
+            self.depth -= 1
             return node
         if kind == "number":
-            num = int(text)
+            num = _int(tok)
             den = 1
             if self.peek()[0] == "/":
                 self.take()
                 den_tok = self.expect("number")
-                den = int(den_tok[1])
+                den = _int(den_tok)
                 if den == 0:
                     raise DivisionByZeroLiteral("denominator is zero", den_tok[2])
                 pos = den_tok[2]
@@ -220,80 +240,22 @@ def _coeff_to_json(c: Element):
     return str(c.value)
 
 
-def poly_from_json(obj: dict, domain: Domain) -> Poly:
-    """Rebuild a Poly from its JSON form over a known domain tower."""
-    coeffs = []
-    for entry in obj["coeffs"]:
-        if isinstance(entry, dict):
-            if not isinstance(domain, PolynomialRing):
-                raise ValueError("nested coefficient over a ground domain")
-            if entry["var"] != domain.variable:
-                raise ValueError(f"coefficient variable {entry['var']!r} does not match {domain}")
-            coeffs.append(Element(domain, poly_from_json(entry, domain.base)))
-        else:
-            coeffs.append(domain.element(Fraction(entry)))
-    return Poly(domain, obj["var"], coeffs)
-
-
-def format_poly(f: Poly, mode: str = "text") -> str:
-    """Render a polynomial as grammar-compatible text or as JSON."""
-    if mode == "text":
-        return str(f)
-    if mode == "json":
-        return json.dumps(poly_to_json(f))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _tower_variables(el: Element) -> list[str]:
-    order = []
-    d = el.domain
-    while isinstance(d, PolynomialRing):
-        order.append(d.variable)
-        d = d.base
-    return order
-
-
 def _monomials(el: Element, acc: tuple):
+    """Each nonzero ground coefficient of el with the (variable, exponent)
+    pair of every tower level, outermost first."""
     if not isinstance(el.domain, PolynomialRing):
         if not el.is_zero:
-            yield acc, el
+            yield el, acc
         return
     for e, c in enumerate(el.value.coeffs):
-        deeper = acc + ((el.value.variable, e),) if e else acc
-        yield from _monomials(c, deeper)
+        yield from _monomials(c, acc + ((el.value.variable, e),))
 
 
 def element_to_text(el: Element) -> str:
     """Flatten a tower element to explicit monomials, outermost variable
     sorted first, so nested constants print like ordinary polynomials."""
-    if el.is_zero:
-        return "0"
-    order = _tower_variables(el)
-    terms = list(_monomials(el, ()))
-
-    def key(item):
-        exps = dict(item[0])
-        return tuple(exps.get(v, 0) for v in order)
-
-    terms.sort(key=key, reverse=True)
-    parts: list[str] = []
-    for pairs, ground in terms:
-        g = ground.value
-        sign = "+"
-        if isinstance(g, Fraction) and g < 0:
-            sign, g = "-", -g
-        names = "*".join(v if e == 1 else f"{v}^{e}" for v, e in reversed(pairs))
-        if not names:
-            body = str(g)
-        elif g == 1:
-            body = names
-        else:
-            body = f"{g}*{names}"
-        if not parts:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    terms = sorted(_monomials(el, ()), key=lambda t: [e for _, e in t[1]], reverse=True)
+    return join_terms((c, reversed(monomial)) for c, monomial in terms)
 
 
 # ----------------------------------------------------------------------
@@ -363,12 +325,7 @@ def _decomposition_json(p: Poly, dec: Decomposition) -> dict:
         "Q": poly_to_json(dec.q),
         "R": poly_to_json(dec.r),
         "d": dec.d,
-        "conditions": {
-            "monic": report.monic,
-            "degree_bound": report.degree_bound,
-            "index_condition": report.index_condition,
-            "reconstruction": report.reconstruction,
-        },
+        "conditions": asdict(report),
     }
 
 
@@ -394,7 +351,7 @@ def _variety_json(system: VarietySystem) -> dict:
 def _cmd_root(args) -> int:
     p = _input_poly(args)
     q = approx_root(p, args.d)
-    print(format_poly(q, "json") if args.json else f"Q = {q}")
+    print(json.dumps(poly_to_json(q)) if args.json else f"Q = {q}")
     return 0
 
 
@@ -408,13 +365,7 @@ def _cmd_decompose(args) -> int:
     print(f"Q = {dec.q}")
     print(f"R = {dec.r}")
     if args.verify:
-        report = verify(p, dec)
-        for name, passed in (
-            ("monic", report.monic),
-            ("degree_bound", report.degree_bound),
-            ("index_condition", report.index_condition),
-            ("reconstruction", report.reconstruction),
-        ):
+        for name, passed in asdict(verify(p, dec)).items():
             print(f"{name}: {'pass' if passed else 'fail'}")
     return 0
 

@@ -24,15 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .approot import check_outer_degree
 from .decomp import OUTER_VARIABLE, decompose
 from .domain import Element, PrimeField, Rationals, ground_domain, polynomial_tower
-from .errors import (
-    DegreeNotDivisible,
-    EnumerationTooLarge,
-    InvalidOuterDegree,
-    NotMonic,
-    NotMonicInMainVar,
-)
+from .errors import EnumerationTooLarge, NotMonic, NotMonicInMainVar
 from .poly import Poly
 
 
@@ -119,10 +114,7 @@ def variety_equations(n: int, d: int) -> VarietySystem:
     with 0 < i < n - n/d not divisible by n/d, fully expanded in the
     a's, listed from the highest such exponent down.
     """
-    if not isinstance(d, int) or d < 2 or d > n:
-        raise InvalidOuterDegree(f"d must satisfy 2 <= d <= n = {n}, got {d}")
-    if n % d:
-        raise DegreeNotDivisible(f"{d} does not divide n = {n}")
+    check_outer_degree(n, d, "n")
     names = tuple(f"a{k}" for k in range(1, n + 1))
     tower = polynomial_tower(Rationals(), names)
     coeffs = [tower.zero] * (n + 1)
@@ -163,10 +155,7 @@ def brute_force_decompose(p: Poly, d: int, limit: int = 10**6) -> Decomposabilit
     if not p.is_monic:
         raise NotMonic("brute-force search expects a monic polynomial")
     n = p.degree
-    if not isinstance(d, int) or d < 2 or d > n:
-        raise InvalidOuterDegree(f"d must satisfy 2 <= d <= deg(p) = {n}, got {d}")
-    if n % d:
-        raise DegreeNotDivisible(f"{d} does not divide deg(p) = {n}")
+    check_outer_degree(n, d, "deg(p)")
     prime = domain.p
     m = n // d
     pairs = prime ** (m + d)

@@ -15,7 +15,7 @@ most deg p rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .approot import approx_root
 from .errors import DomainMismatch, VariableMismatch
@@ -64,7 +64,7 @@ class ConditionReport:
 
     @property
     def ok(self) -> bool:
-        return self.monic and self.degree_bound and self.index_condition and self.reconstruction
+        return all(astuple(self))
 
 
 def verify(p: Poly, dec: Decomposition) -> ConditionReport:

@@ -21,7 +21,7 @@ forms coincide.  Floating point never appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatch, NotInvertible
 
@@ -112,10 +112,11 @@ class Element:
 class Domain:
     """Base class of all coefficient domains.
 
-    Subclasses provide the raw value hooks (_add, _sub, _mul, _neg,
-    _invert, _is_zero) plus construction and metadata.  Domains compare
-    structurally and are cheap to construct; equal domains are fully
-    interchangeable.
+    Subclasses provide the raw value hooks _invert and _is_zero plus
+    construction and metadata.  The _add, _sub, _mul and _neg hooks
+    default to the values' own operators; PrimeField overrides them to
+    reduce mod p.  Domains compare structurally and are cheap to
+    construct; equal domains are fully interchangeable.
     """
 
     is_field = False
@@ -128,6 +129,9 @@ class Domain:
         """The image of the integer n in this domain."""
         return self.element(n)
 
+    # cached with setattr, not functools.cached_property: writing the
+    # instance __dict__ directly slows every later attribute load on
+    # the domain in CPython 3.11, and _mul/_add run per coefficient
     @property
     def zero(self) -> Element:
         try:
@@ -144,13 +148,21 @@ class Domain:
             self._one = self.element(1)
             return self._one
 
-    @property
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
     def invert_integer(self, m: int) -> Element:
         """The inverse of the integer m in this domain, if it has one."""
         raise NotImplementedError
+
+    def _add(self, a, b):
+        return a + b
+
+    def _sub(self, a, b):
+        return a - b
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _neg(self, a):
+        return -a
 
 
 class Rationals(Domain):
@@ -167,26 +179,10 @@ class Rationals(Domain):
             raise TypeError("floating point values are not allowed")
         return Element(self, Fraction(value))
 
-    @property
-    def characteristic(self) -> int:
-        return 0
-
     def invert_integer(self, m: int) -> Element:
         if m == 0:
             raise NotInvertible("0 has no inverse")
         return Element(self, Fraction(1, m))
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
 
     def _invert(self, a):
         if a == 0:
@@ -250,10 +246,6 @@ class PrimeField(Domain):
                 raise NotInvertible(f"{den} is not invertible modulo {self.p}")
             return Element(self, num * pow(den, self.p - 2, self.p) % self.p)
         return Element(self, value % self.p)
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     def invert_integer(self, m: int) -> Element:
         r = m % self.p
@@ -331,10 +323,6 @@ class PolynomialRing(Domain):
             raise DomainMismatch(f"{value.variable!r}-polynomial does not fit {self}")
         return Element(self, Poly.constant(self.base, self.variable, value))
 
-    @property
-    def characteristic(self) -> int:
-        return self.base.characteristic
-
     def invert_integer(self, m: int) -> Element:
         return self.element(self.base.invert_integer(m))
 
@@ -348,18 +336,6 @@ class PolynomialRing(Domain):
         if isinstance(self.base, PolynomialRing):
             return self.element(self.base.generator(name))
         raise ValueError(f"no variable {name!r} in this tower")
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
 
     def _invert(self, a):
         from .poly import Poly
@@ -403,21 +379,3 @@ def ground_domain(domain: Domain) -> Domain:
         domain = domain.base
     return domain
 
-
-def specialize(el: Element, values: Mapping[str, Element]) -> Element:
-    """Evaluate a tower element at ground values for its variables.
-
-    ``values`` maps every variable occurring in el's tower to an element
-    of the ground domain.  Plain ground elements pass through unchanged.
-    """
-    if not isinstance(el.domain, PolynomialRing):
-        return el
-    p = el.value
-    try:
-        point = values[p.variable]
-    except KeyError:
-        raise ValueError(f"no value given for variable {p.variable!r}") from None
-    acc = point.domain.zero
-    for c in reversed(p.coeffs):
-        acc = acc * point + specialize(c, values)
-    return acc

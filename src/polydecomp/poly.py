@@ -14,7 +14,6 @@ represented, one variable per tower level.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .domain import Domain, Element
@@ -48,6 +47,12 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
+
+
+def same_domain(a: Domain, b: Domain) -> None:
+    """Raise DomainMismatch unless a and b are the same domain."""
+    if a is not b and a != b:
+        raise DomainMismatch(f"{a} vs {b}")
 
 
 class Poly:
@@ -121,8 +126,7 @@ class Poly:
     # arithmetic
 
     def _check(self, other: "Poly") -> None:
-        if self.domain is not other.domain and self.domain != other.domain:
-            raise DomainMismatch(f"{self.domain} vs {other.domain}")
+        same_domain(self.domain, other.domain)
         if self.variable != other.variable:
             raise VariableMismatch(f"{self.variable!r} vs {other.variable!r}")
 
@@ -155,8 +159,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            if self.domain is not other.domain and self.domain != other.domain:
-                raise DomainMismatch(f"{self.domain} vs {other.domain}")
+            same_domain(self.domain, other.domain)
             return Poly(self.domain, self.variable, tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -192,21 +195,11 @@ class Poly:
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute ``inner`` for this polynomial's variable (Horner)."""
-        if self.domain is not inner.domain and self.domain != inner.domain:
-            raise DomainMismatch(f"{self.domain} vs {inner.domain}")
+        same_domain(self.domain, inner.domain)
         out = Poly.zero(self.domain, inner.variable)
         for c in reversed(self.coeffs):
             out = out * inner + Poly.constant(self.domain, inner.variable, c)
         return out
-
-    def evaluate(self, point: Element) -> Element:
-        """Value at a point of the coefficient domain (Horner)."""
-        if self.domain is not point.domain and self.domain != point.domain:
-            raise DomainMismatch(f"{self.domain} vs {point.domain}")
-        acc = self.domain.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     # ------------------------------------------------------------------
     # comparison and display
@@ -224,45 +217,44 @@ class Poly:
         return hash((self.variable, self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            sign, body = _term_text(c, self.variable, i)
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        v = self.variable
+        terms = [(c, ((v, i),)) for i, c in enumerate(self.coeffs)]
+        return join_terms(reversed(terms))
 
     def __repr__(self):
         return f"<Poly {self} over {self.domain}>"
 
 
-def _term_text(c: Element, variable: str, exponent: int) -> tuple[str, str]:
-    """Sign and body of one printed term, suitable for re-parsing."""
-    sign, text, is_unit = _coeff_text(c)
-    if exponent == 0:
-        return sign, text
-    power = variable if exponent == 1 else f"{variable}^{exponent}"
-    if is_unit:
-        return sign, power
-    return sign, f"{text}*{power}"
+def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> str:
+    """Grammar-compatible text for (coefficient, monomial) terms in the
+    order given, each monomial being (variable, exponent) pairs.
 
-
-def _coeff_text(c: Element) -> tuple[str, str, bool]:
-    if c.is_ground:
-        g = c.ground_value().value
-        if isinstance(g, Fraction) and g < 0:
-            return "-", str(-g), g == -1
-        return "+", str(g), g == 1
-    # tower coefficient with an actual variable in it: parenthesize
-    return "+", f"({c.value})", False
-
-
-def lift(p: Poly, domain: Domain) -> Poly:
-    """Reinterpret p over a tower whose ground contains p's coefficients."""
-    return Poly(domain, p.variable, tuple(domain.element(c) for c in p.coeffs))
+    Zero coefficients and zero exponents are left out, a negative ground
+    coefficient becomes a " - " join, a unit coefficient is not written
+    before a monomial, and a tower coefficient with a variable in it is
+    parenthesized.  The empty sum is "0".
+    """
+    parts: list[str] = []
+    for c, monomial in terms:
+        if c.is_zero:
+            continue
+        sign = "+"
+        if c.is_ground:
+            g = c.ground_value().value
+            if g < 0:
+                sign, g = "-", -g
+            text, unit = str(g), g == 1
+        else:
+            text, unit = f"({c.value})", False
+        names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
+        if not names:
+            body = text
+        elif unit:
+            body = names
+        else:
+            body = f"{text}*{names}"
+        if parts:
+            parts.append(f" {sign} {body}")
+        else:
+            parts.append(body if sign == "+" else "-" + body)
+    return "".join(parts) or "0"

@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: random data and canonical audits."""
+"""Shared helpers for the test suite: random data, canonical audits, and
+small oracles (evaluation, specialization, lifting, JSON parsing) that the
+library itself does not need."""
 
 import math
 import random
 from fractions import Fraction
 
-from polydecomp import Element, Poly, PolynomialRing, PrimeField, Rationals
+from polydecomp import Domain, Element, Poly, PolynomialRing, PrimeField, Rationals
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -81,3 +83,50 @@ def power_by_repeated_mul(f: Poly, e: int) -> Poly:
     for _ in range(e):
         out = out * f
     return out
+
+
+def evaluate(p: Poly, point: Element) -> Element:
+    """Value of p at a point of its coefficient domain (Horner)."""
+    acc = p.domain.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def specialize(el: Element, values: dict) -> Element:
+    """Evaluate a tower element at ground values for its variables.
+
+    ``values`` maps every variable occurring in el's tower to an element
+    of the ground domain.  Plain ground elements pass through unchanged.
+    """
+    if not isinstance(el.domain, PolynomialRing):
+        return el
+    p = el.value
+    try:
+        point = values[p.variable]
+    except KeyError:
+        raise ValueError(f"no value given for variable {p.variable!r}") from None
+    acc = point.domain.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + specialize(c, values)
+    return acc
+
+
+def lift(p: Poly, domain: Domain) -> Poly:
+    """Reinterpret p over a tower whose ground contains p's coefficients."""
+    return Poly(domain, p.variable, tuple(domain.element(c) for c in p.coeffs))
+
+
+def poly_from_json(obj: dict, domain: Domain) -> Poly:
+    """Rebuild a Poly from the CLI's JSON form over a known domain tower."""
+    coeffs = []
+    for entry in obj["coeffs"]:
+        if isinstance(entry, dict):
+            if not isinstance(domain, PolynomialRing):
+                raise ValueError("nested coefficient over a ground domain")
+            if entry["var"] != domain.variable:
+                raise ValueError(f"coefficient variable {entry['var']!r} does not match {domain}")
+            coeffs.append(Element(domain, poly_from_json(entry, domain.base)))
+        else:
+            coeffs.append(domain.element(Fraction(entry)))
+    return Poly(domain, obj["var"], coeffs)

@@ -28,14 +28,12 @@ from polydecomp import (
     decompose,
     is_decomposable_multi,
     is_decomposable_uni,
-    lift,
     polynomial_tower,
-    specialize,
     variety_equations,
     verify,
 )
 from polydecomp.cli import main as cli_main
-from support import rand_int_poly, rand_poly
+from support import lift, rand_int_poly, rand_poly, specialize
 
 QQ = Rationals()
 

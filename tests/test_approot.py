@@ -16,7 +16,6 @@ from polydecomp import (
     Rationals,
     approx_root,
     polynomial_tower,
-    root_defect,
 )
 from support import rand_int_poly, rand_poly
 
@@ -34,9 +33,9 @@ def test_golden_roots_of_p6():
 
 def test_defect_degrees_of_p6():
     # exact residual degrees, computed by hand from the golden splittings
-    assert root_defect(P6, approx_root(P6, 6), 6) == 4
-    assert root_defect(P6, approx_root(P6, 3), 3) == 3
-    assert root_defect(P6, approx_root(P6, 2), 2) == 2
+    assert (P6 - approx_root(P6, 6) ** 6).degree == 4
+    assert (P6 - approx_root(P6, 3) ** 3).degree == 3
+    assert (P6 - approx_root(P6, 2) ** 2).degree == 2
 
 
 def test_defining_bound_holds_generically():
@@ -49,13 +48,14 @@ def test_defining_bound_holds_generically():
             q = approx_root(p, d)
             assert q.is_monic
             assert q.degree == m
-            assert root_defect(p, q, d) < d * m - m
+            assert (p - q**d).degree < d * m - m
 
 
 def test_defect_characterizes_exact_powers():
     q = Poly.from_coeffs(QQ, "x", [2, 1])
-    assert root_defect(q**3, q, 3) is NEG_INF
-    assert root_defect(q**3 + Poly.constant(QQ, "x", 1), q, 3) == 0
+    cube = Poly.from_coeffs(QQ, "x", [8, 12, 6, 1])  # (x + 2)^3 expanded by hand
+    assert (cube - q**3).degree is NEG_INF
+    assert (cube + Poly.constant(QQ, "x", 1) - q**3).degree == 0
 
 
 def test_perfect_power_round_trip():
@@ -111,8 +111,6 @@ def test_rejects_bad_outer_degree():
         approx_root(P6, 0)
     with pytest.raises(InvalidOuterDegree):
         approx_root(P6, "2")
-    with pytest.raises(InvalidOuterDegree):
-        root_defect(P6, P6, 0)
 
 
 def test_rejects_indivisible_degree():

@@ -1,5 +1,6 @@
 """Grammar, serialization round trips, and end-to-end command behavior."""
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -10,16 +11,16 @@ import pytest
 
 from polydecomp import Poly, PrimeField, Rationals, polynomial_tower
 from polydecomp.cli import (
+    MAX_DEPTH,
     UsageError,
     element_to_text,
-    format_poly,
     main,
     parse_poly,
-    poly_from_json,
     poly_to_json,
 )
+from polydecomp.decomp import ConditionReport
 from polydecomp.errors import DivisionByZeroLiteral, ParseError, UnknownVariable
-from support import rand_poly
+from support import poly_from_json, rand_poly
 
 QQ = Rationals()
 
@@ -83,6 +84,27 @@ def test_parse_error_positions():
         parse_poly("", QQ, ["x"])
     with pytest.raises(ParseError):
         parse_poly("x^20000", QQ, ["x"])
+    # superscript digits are not digits of the grammar
+    with pytest.raises(ParseError) as info:
+        parse_poly("x^²", QQ, ["x"])
+    assert info.value.position == 2
+    # longer than the interpreter converts to int
+    with pytest.raises(ParseError) as info:
+        parse_poly("x + " + "1" * 5000, QQ, ["x"])
+    assert info.value.position == 4
+    with pytest.raises(ParseError) as info:
+        parse_poly("x^" + "2" * 5000, QQ, ["x"])
+    assert info.value.position == 2
+
+
+def test_parse_nesting_depth_is_bounded():
+    deepest = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_poly(deepest, QQ, ["x"]) == Poly.gen(QQ, "x")
+    assert parse_poly("-" * MAX_DEPTH + "x", QQ, ["x"]) == Poly.gen(QQ, "x")
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "(-" * 1500 + "x" + ")" * 1500):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, QQ, ["x"])
+        assert info.value.position == MAX_DEPTH
 
 
 def test_parse_unknown_variable():
@@ -135,7 +157,7 @@ def test_text_round_trips():
     for field in (QQ, PrimeField(5), PrimeField(2)):
         for _ in range(1000):
             p = rand_poly(rng, field, "x", rng.randint(0, 6))
-            assert parse_poly(format_poly(p, "text"), field, ["x"]) == p
+            assert parse_poly(str(p), field, ["x"]) == p
 
 
 def test_text_round_trips_bivariate():
@@ -143,7 +165,7 @@ def test_text_round_trips_bivariate():
     tower = polynomial_tower(QQ, ["y"])
     for _ in range(200):
         p = rand_poly(rng, tower, "x", rng.randint(0, 4))
-        assert parse_poly(format_poly(p, "text"), QQ, ["x", "y"]) == p
+        assert parse_poly(str(p), QQ, ["x", "y"]) == p
 
 
 def test_json_schema_shape():
@@ -164,7 +186,7 @@ def test_json_round_trips():
     for domain in (QQ, PrimeField(7), tower):
         for _ in range(200):
             p = rand_poly(rng, domain, "x", rng.randint(0, 5))
-            through = json.loads(format_poly(p, "json"))
+            through = json.loads(json.dumps(poly_to_json(p)))
             assert poly_from_json(through, domain) == p
 
 
@@ -190,6 +212,11 @@ def test_element_to_text_flattens_towers():
     assert element_to_text(expr) == "a3 - 1/2*a1*a2 + 1/8*a1^3"
     assert element_to_text(tower.zero) == "0"
     assert element_to_text(tower.element(Fraction(-3, 4))) == "-3/4"
+    assert element_to_text(-a1) == "-a1"
+    assert element_to_text(a2 * a3 - a1 + tower.element(Fraction(-5, 3))) == "a2*a3 - a1 - 5/3"
+    gf = polynomial_tower(PrimeField(7), ["u", "v"])
+    u, v = gf.generator("u"), gf.generator("v")
+    assert element_to_text(u * v * gf.from_int(3) - u - gf.one) == "3*u*v + 6*u + 6"
 
 
 # ------------------------------------------------------------ CLI commands
@@ -226,12 +253,13 @@ def test_cli_decompose_text(capsys):
 
 def test_cli_decompose_verify(capsys):
     code, out, _ = run_cli(capsys, "decompose", "x^6+6*x^5+6*x+1", "--d", "2", "--verify")
-    lines = out.splitlines()
     assert code == 0
-    assert "monic: pass" in lines
-    assert "degree_bound: pass" in lines
-    assert "index_condition: pass" in lines
-    assert "reconstruction: pass" in lines
+    assert out.splitlines()[3:] == [
+        "monic: pass",
+        "degree_bound: pass",
+        "index_condition: pass",
+        "reconstruction: pass",
+    ]
 
 
 def test_cli_decompose_json(capsys):
@@ -249,6 +277,9 @@ def test_cli_decompose_json(capsys):
         "index_condition": True,
         "reconstruction": True,
     }
+    order = ["monic", "degree_bound", "index_condition", "reconstruction"]
+    assert list(obj["conditions"]) == order
+    assert [f.name for f in dataclasses.fields(ConditionReport)] == order
 
 
 def test_cli_check_yes(capsys):
@@ -354,6 +385,9 @@ def test_cli_error_paths(capsys):
         (["root", "2x", "--d", "2"], "ParseError"),
         (["root", "x+z", "--d", "2"], "UnknownVariable"),
         (["root", "1/0", "--d", "2"], "DivisionByZeroLiteral"),
+        (["root", "x^²", "--d", "2"], "ParseError"),
+        (["root", "x^2+" + "1" * 5000, "--d", "2"], "ParseError"),
+        (["root", "(" * 3000 + "x" + ")" * 3000, "--d", "2"], "ParseError"),
         (["check", "x^4+x^2", "--d", "2", "--field", "gf:2"], "NotInvertible"),
         (["check", "y*x^2+y", "--d", "2", "--vars", "x,y"], "NotMonicInMainVar"),
         (["root", "x^2+1", "--d", "2", "--field", "gf:4"], "UsageError"),

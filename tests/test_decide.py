@@ -19,12 +19,10 @@ from polydecomp import (
     decompose,
     is_decomposable_multi,
     is_decomposable_uni,
-    lift,
     polynomial_tower,
-    specialize,
     variety_equations,
 )
-from support import rand_int_poly
+from support import lift, rand_int_poly, specialize
 
 QQ = Rationals()
 P6 = Poly.from_coeffs(QQ, "x", [1, 6, 0, 0, 0, 6, 1])

@@ -17,9 +17,8 @@ from polydecomp import (
     Rationals,
     ground_domain,
     polynomial_tower,
-    specialize,
 )
-from support import assert_canonical_element, rand_element, rand_fraction
+from support import assert_canonical_element, rand_element, rand_fraction, specialize
 
 DOMAINS = [
     Rationals(),
@@ -65,13 +64,6 @@ def test_rational_distributivity_hypothesis(x, y, z):
     a, b, c = d.element(x), d.element(y), d.element(z)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
-
-
-def test_characteristic():
-    assert Rationals().characteristic == 0
-    assert PrimeField(5).characteristic == 5
-    assert PolynomialRing(Rationals(), "y").characteristic == 0
-    assert polynomial_tower(PrimeField(7), ["u", "v"]).characteristic == 7
 
 
 def test_invert_integer():

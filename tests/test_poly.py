@@ -15,10 +15,9 @@ from polydecomp import (
     PrimeField,
     Rationals,
     VariableMismatch,
-    lift,
     polynomial_tower,
 )
-from support import assert_canonical_poly, power_by_repeated_mul, rand_poly
+from support import assert_canonical_poly, evaluate, lift, power_by_repeated_mul, rand_poly
 
 QQ = Rationals()
 
@@ -196,7 +195,7 @@ def test_evaluate_matches_term_sum():
             for _ in range(i):
                 power = power * point
             total = total + c * power
-        assert f.evaluate(point) == total
+        assert evaluate(f, point) == total
 
 
 def test_scalar_multiplication():
@@ -258,3 +257,11 @@ def test_str_round_figures():
     tower = polynomial_tower(QQ, ["y"])
     p = Poly(tower, "x", (tower.from_int(1), tower.generator("y")))
     assert str(p) == "(y)*x + 1"
+    # a -1 inside a tower coefficient, a negative ground constant coefficient
+    y = tower.generator("y")
+    q = Poly(tower, "x", (tower.element(Fraction(-3, 2)), -y, tower.from_int(-1), y * y - tower.one))
+    assert str(q) == "(y^2 - 1)*x^3 - x^2 + (-y)*x - 3/2"
+    gf = polynomial_tower(PrimeField(7), ["u", "v"])
+    u, v = gf.generator("u"), gf.generator("v")
+    r = Poly(gf, "x", (gf.from_int(-1), -u, v * u + gf.from_int(2)))
+    assert str(r) == "((u)*v + 2)*x^2 + ((6*u))*x + 6"
