@@ -28,7 +28,9 @@ from .domain import (
     polynomial_tower,
 )
 from .errors import (
+    CoefficientTooLarge,
     DegreeNotDivisible,
+    DegreeTooLarge,
     DivisionByZeroLiteral,
     DomainMismatch,
     EnumerationTooLarge,
@@ -64,7 +66,9 @@ __all__ = [
     "Rationals",
     "ground_domain",
     "polynomial_tower",
+    "CoefficientTooLarge",
     "DegreeNotDivisible",
+    "DegreeTooLarge",
     "DivisionByZeroLiteral",
     "DomainMismatch",
     "EnumerationTooLarge",

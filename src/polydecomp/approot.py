@@ -2,11 +2,23 @@
 
 For monic P of degree n = d*m, over any domain where d is invertible,
 there is exactly one monic Q of degree m with deg(P - Q**d) < n - m.
-The coefficient of x^(n-k) in Q**d is d*b_k plus terms involving only
-b_1 .. b_(k-1), where Q = x^m + b_1*x^(m-1) + ... + b_m, so the b_k are
-found one at a time by back-substitution.  No multinomial bookkeeping is
-needed: each step reads the obstruction off the expanded power of the
-partial root so far.
+Write P = x^n + a_1*x^(n-1) + ... and Q = x^m + b_1*x^(m-1) + ... + b_m,
+and let A[j][k] be the coefficient of x^(jm-k) in Q**j.  Since
+Q**j = Q**(j-1) * Q,
+
+    A[j][k] = A[j-1][k] + b_k + rest_j,
+    rest_j  = b_1*A[j-1][k-1] + ... + b_(k-1)*A[j-1][1],
+
+with A[j][0] = 1 and A[0][k] = 0 for k >= 1.  Summed over j = 1 .. d
+this gives A[d][k] = d*b_k + (rest_1 + ... + rest_d), where no rest
+involves b_k, so matching A[d][k] = a_k solves
+
+    b_k = (a_k - (rest_1 + ... + rest_d)) * d^-1
+
+one k at a time.  Only the top m + 1 coefficients of P are read, and
+the table costs O(d*m^2) ring operations and no polynomial product.
+d must be invertible in the domain; nothing else is, so the same
+recurrence serves Q, Q[y]... and GF(p) with p <= m.
 """
 
 from __future__ import annotations
@@ -32,11 +44,16 @@ def approx_root(p: Poly, d: int) -> Poly:
     check_outer_degree(n, d, "deg(p)")
     inv_d = p.domain.invert_integer(d)
     m = n // d
-    q = Poly.monomial(p.domain, p.variable, 1, m)
+    zero = p.domain.zero
+    b = [p.domain.one]
+    # rows[j - 1][k] = A[j][k] for j = 1 .. d - 1; A[d] is never needed
+    rows = [[p.domain.one] + [zero] * m for _ in range(d - 1)]
     for k in range(1, m + 1):
-        # solve for the x^(m-k) coefficient: everything above x^(n-k)
-        # in q**d already matches p and stays fixed from here on
-        b = (p.coeff(n - k) - (q**d).coeff(n - k)) * inv_d
-        if not b.is_zero:
-            q = q + Poly.monomial(p.domain, p.variable, b, m - k)
-    return q
+        # rest_1 = 0, and rest_(j+1) is read off row j
+        rests = [zero] + [sum((b[i] * row[k - i] for i in range(1, k)), zero) for row in rows]
+        b_k = (p.coeff(n - k) - sum(rests, zero)) * inv_d
+        b.append(b_k)
+        below = zero
+        for row, rest in zip(rows, rests):
+            row[k] = below = below + b_k + rest
+    return Poly(p.domain, p.variable, reversed(b))

@@ -10,9 +10,11 @@ Polynomial grammar (whitespace between tokens is ignored):
     ident    := letter (letter | digit)*
 
 Multiplication is always explicit ('2*x', never '2x') and '/' exists
-only inside rational literals.  Digits are ASCII only, and '(' and
-unary '-' nest at most MAX_DEPTH levels deep.  Text output re-parses to
-a structurally equal polynomial under this grammar.
+only inside rational literals.  Letters and digits are ASCII only,
+'(' and unary '-' nest at most MAX_DEPTH levels deep, and a product or
+power whose degree in some variable, as written, would pass MAX_DEGREE
+is rejected before it is computed.  Text output re-parses to a
+structurally equal polynomial under this grammar.
 
 Exit codes: 0 for success (for check: decomposable), 2 for a well-formed
 input that is not decomposable (check only), 1 for any error.  Errors
@@ -27,6 +29,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .approot import approx_root
@@ -38,8 +41,17 @@ from .decide import (
     variety_equations,
 )
 from .decomp import Decomposition, decompose, verify
-from .domain import Domain, Element, PolynomialRing, PrimeField, Rationals, polynomial_tower
+from .domain import (
+    VARIABLE_NAME,
+    Domain,
+    Element,
+    PolynomialRing,
+    PrimeField,
+    Rationals,
+    polynomial_tower,
+)
 from .errors import (
+    DegreeTooLarge,
     DivisionByZeroLiteral,
     NotInvertible,
     ParseError,
@@ -49,6 +61,7 @@ from .errors import (
 from .poly import Poly, join_terms
 
 MAX_EXPONENT = 10_000
+MAX_DEGREE = 10_000
 MAX_DEPTH = 100
 
 
@@ -79,17 +92,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while pos < end and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("number", text[start:pos], start))
-        elif ch.isalpha():
-            while pos < end and text[pos].isalnum():
-                pos += 1
-            tokens.append(("ident", text[start:pos], start))
         elif ch in "+-*^()/":
             tokens.append((ch, ch, start))
             pos += 1
+        elif name := VARIABLE_NAME.match(text, pos):
+            pos = name.end()
+            tokens.append(("ident", name.group(), start))
         else:
             raise ParseError(f"unexpected character {ch!r}", start)
     tokens.append(("end", "", end))
     return tokens
+
+
+def _bounded(degrees, pos: int) -> tuple[int, ...]:
+    """The degrees of a product or power, checked against MAX_DEGREE
+    before the operation is computed."""
+    degrees = tuple(degrees)
+    if max(degrees) > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {max(degrees)} is above the bound {MAX_DEGREE}", pos)
+    return degrees
 
 
 def _int(tok: tuple[str, str, int]) -> int:
@@ -100,14 +121,22 @@ def _int(tok: tuple[str, str, int]) -> int:
 
 
 class _Parser:
-    """Recursive descent over the token list, building Poly values."""
+    """Recursive descent over the token list, building Poly values.
+
+    Each rule returns the Poly it parsed together with its degree in
+    each variable, main variable first, as written: a sum takes the
+    larger degree, so cancellation is not seen.  That is what lets a
+    product or power be bounded before it is computed.
+    """
 
     def __init__(self, text: str, domain: Domain, main: str, others: Sequence[str], field: Domain):
         self.tokens = _tokenize(text)
         self.index = 0
         self.domain = domain
         self.main = main
-        self.others = set(others)
+        names = [main, *others]
+        self.units = {v: tuple(int(v == w) for w in names) for v in names}
+        self.constant = (0,) * len(names)
         self.field = field
         self.depth = 0
 
@@ -127,39 +156,43 @@ class _Parser:
         return tok
 
     def parse(self) -> Poly:
-        result = self.expr()
+        result, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return result
 
-    def expr(self) -> Poly:
-        node = self.term()
+    def expr(self) -> tuple[Poly, tuple[int, ...]]:
+        node, degrees = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
+            rhs, rhs_degrees = self.term()
             node = node + rhs if op == "+" else node - rhs
-        return node
+            degrees = tuple(map(max, degrees, rhs_degrees))
+        return node, degrees
 
-    def term(self) -> Poly:
-        node = self.factor()
+    def term(self) -> tuple[Poly, tuple[int, ...]]:
+        node, degrees = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            node = node * self.factor()
-        return node
+            pos = self.take()[2]
+            rhs, rhs_degrees = self.factor()
+            degrees = _bounded(map(add, degrees, rhs_degrees), pos)
+            node = node * rhs
+        return node, degrees
 
-    def factor(self) -> Poly:
-        atom = self.atom()
+    def factor(self) -> tuple[Poly, tuple[int, ...]]:
+        atom, degrees = self.atom()
         if self.peek()[0] == "^":
-            self.take()
+            pos = self.take()[2]
             tok = self.expect("number")
             e = _int(tok)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} is too large", tok[2])
+            degrees = _bounded([e * a for a in degrees], pos)
             atom = atom**e
-        return atom
+        return atom, degrees
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple[Poly, tuple[int, ...]]:
         tok = self.take()
         kind, text, pos = tok
         if kind in ("-", "("):
@@ -167,12 +200,13 @@ class _Parser:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
             self.depth += 1
             if kind == "-":
-                node = -self.factor()
+                node, degrees = self.factor()
+                node = -node
             else:
-                node = self.expr()
+                node, degrees = self.expr()
                 self.expect(")")
             self.depth -= 1
-            return node
+            return node, degrees
         if kind == "number":
             num = _int(tok)
             den = 1
@@ -189,13 +223,15 @@ class _Parser:
                 raise DivisionByZeroLiteral(
                     f"denominator {den} is zero in {self.field}", pos
                 ) from None
-            return Poly.constant(self.domain, self.main, ground)
+            return Poly.constant(self.domain, self.main, ground), self.constant
         if kind == "ident":
+            if text not in self.units:
+                raise UnknownVariable(f"unknown variable {text!r}", pos)
             if text == self.main:
-                return Poly.gen(self.domain, self.main)
-            if text in self.others:
-                return Poly.constant(self.domain, self.main, self.domain.generator(text))
-            raise UnknownVariable(f"unknown variable {text!r}", pos)
+                node = Poly.gen(self.domain, self.main)
+            else:
+                node = Poly.constant(self.domain, self.main, self.domain.generator(text))
+            return node, self.units[text]
         shown = text if kind != "end" else "end of input"
         raise ParseError(f"unexpected {shown!r}", pos)
 
@@ -219,6 +255,9 @@ def parse_poly(
     main = names[0] if main_var is None else main_var
     if main not in names:
         raise ValueError(f"main variable {main!r} is not among {names}")
+    for name in names:
+        if not VARIABLE_NAME.fullmatch(name):
+            raise ValueError(f"bad variable name {name!r}")
     others = [v for v in names if v != main]
     domain = polynomial_tower(field, others)
     return _Parser(text, domain, main, others, field).parse()
@@ -237,7 +276,7 @@ def poly_to_json(f: Poly) -> dict:
 def _coeff_to_json(c: Element):
     if isinstance(c.domain, PolynomialRing):
         return poly_to_json(c.value)
-    return str(c.value)
+    return str(c)
 
 
 def _monomials(el: Element, acc: tuple):
@@ -361,12 +400,11 @@ def _cmd_decompose(args) -> int:
     if args.json:
         print(json.dumps(_decomposition_json(p, dec)))
         return 0
-    print(f"h = {dec.h}")
-    print(f"Q = {dec.q}")
-    print(f"R = {dec.r}")
+    lines = [f"h = {dec.h}", f"Q = {dec.q}", f"R = {dec.r}"]
     if args.verify:
         for name, passed in asdict(verify(p, dec)).items():
-            print(f"{name}: {'pass' if passed else 'fail'}")
+            lines.append(f"{name}: {'pass' if passed else 'fail'}")
+    print("\n".join(lines))
     return 0
 
 
@@ -379,16 +417,16 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps(_verdict_json(verdict)))
     else:
-        print(f"decomposable: {'yes' if verdict.decomposable else 'no'}")
+        lines = [f"decomposable: {'yes' if verdict.decomposable else 'no'}"]
         if verdict.witness is not None:
-            print(f"h = {verdict.witness.h}")
-            print(f"Q = {verdict.witness.q}")
+            lines += [f"h = {verdict.witness.h}", f"Q = {verdict.witness.q}"]
         elif verdict.residual is not None:
-            print(f"R = {verdict.residual}")
+            lines.append(f"R = {verdict.residual}")
             if verdict.residual.is_zero:
-                print("obstruction: the outer polynomial has non-constant coefficients")
+                lines.append("obstruction: the outer polynomial has non-constant coefficients")
         if verdict.normalization is not None:
-            print(f"scaled by: {verdict.normalization}")
+            lines.append(f"scaled by: {verdict.normalization}")
+        print("\n".join(lines))
     return 0 if verdict.decomposable else 2
 
 

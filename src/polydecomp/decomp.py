@@ -7,10 +7,14 @@ divisible by deg q.  Under those constraints the triple (h, q, r) is
 unique, which makes it a normal form: p is a composition of the given
 shape exactly when r vanishes.
 
-The loop peels the highest remaining term of p - h(q) - r and assigns
-it to h when its exponent is a multiple of deg q, to r otherwise; the
-difference drops in degree at every step, so it terminates after at
-most deg p rounds.
+With m = deg q, the residual e = p - h(q) - r starts as p - q**d and is
+scanned from its top coefficient down.  A nonzero coefficient c of x^i
+goes to h as c*t^(i/m) when m divides i, which subtracts c*q^(i/m) from
+e and leaves e[i] zero because q is monic; otherwise it goes to r as
+c*x^i.  Either way nothing at or above x^i changes afterwards.  The
+powers q^0 .. q^d cost d - 1 polynomial products, O(n^2) ring
+operations for n = deg p, and each of the at most d - 1 terms of h
+below t^d costs O(n) more, so the whole split is O(n^2).
 """
 
 from __future__ import annotations
@@ -39,18 +43,23 @@ def decompose(p: Poly, d: int) -> Decomposition:
     q = approx_root(p, d)
     domain, var = p.domain, p.variable
     m = q.degree
-    h = Poly.monomial(domain, OUTER_VARIABLE, 1, d)
-    r = Poly.zero(domain, var)
-    while True:
-        e = p - h.compose(q) - r
-        if e.is_zero:
-            return Decomposition(h, q, r, d)
-        i = e.degree
-        c = e.coeff(i)
-        if i % m == 0:
-            h = h + Poly.monomial(domain, OUTER_VARIABLE, c, i // m)
-        else:
-            r = r + Poly.monomial(domain, var, c, i)
+    powers = [Poly.constant(domain, var, 1), q]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * q)
+    e = list((p - powers[d]).coeffs)
+    h = [domain.zero] * d + [domain.one]
+    r = [domain.zero] * len(e)
+    for i in range(len(e) - 1, -1, -1):
+        c = e[i]
+        if c.is_zero:
+            continue
+        if i % m:
+            r[i] = c
+            continue
+        h[i // m] = c
+        for j, a in enumerate(powers[i // m].coeffs):
+            e[j] = e[j] - c * a
+    return Decomposition(Poly(domain, OUTER_VARIABLE, h), q, Poly(domain, var, r), d)
 
 
 @dataclass(frozen=True)

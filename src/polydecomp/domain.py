@@ -20,10 +20,14 @@ forms coincide.  Floating point never appears anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainMismatch, NotInvertible
+from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
+
+# the one rule for variable names, in the parser and in towers alike
+VARIABLE_NAME = re.compile("[A-Za-z][A-Za-z0-9]*")
 
 
 class Element:
@@ -103,7 +107,12 @@ class Element:
         return Element(self.domain, self.domain._invert(self.value))
 
     def __str__(self):
-        return str(self.value)
+        """Decimal text of the value; every coefficient printed by the
+        package goes through here."""
+        try:
+            return str(self.value)
+        except ValueError:  # beyond the interpreter's int/str digit limit
+            raise CoefficientTooLarge("a coefficient has too many digits to print") from None
 
     def __repr__(self):
         return f"Element({self.value!r}, {self.domain})"
@@ -299,7 +308,7 @@ class PolynomialRing(Domain):
     def __init__(self, base: Domain, variable: str):
         if not isinstance(base, Domain):
             raise TypeError("base must be a Domain")
-        if not variable or not variable[0].isalpha() or not variable.isalnum():
+        if not VARIABLE_NAME.fullmatch(variable):
             raise ValueError(f"bad variable name {variable!r}")
         d = base
         while isinstance(d, PolynomialRing):

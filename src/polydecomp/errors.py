@@ -61,6 +61,12 @@ class EnumerationTooLarge(PolyDecompError):
     code = "EnumerationTooLarge"
 
 
+class CoefficientTooLarge(PolyDecompError):
+    """A coefficient has more digits than the interpreter converts to text."""
+
+    code = "CoefficientTooLarge"
+
+
 class ParseError(PolyDecompError):
     """Malformed polynomial text. ``position`` is a 0-based offset."""
 
@@ -81,3 +87,9 @@ class DivisionByZeroLiteral(ParseError):
     """A rational literal whose denominator is zero in the field."""
 
     code = "DivisionByZeroLiteral"
+
+
+class DegreeTooLarge(ParseError):
+    """A product or power in the input would exceed the degree bound."""
+
+    code = "DegreeTooLarge"

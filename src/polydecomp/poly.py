@@ -240,10 +240,10 @@ def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> st
             continue
         sign = "+"
         if c.is_ground:
-            g = c.ground_value().value
-            if g < 0:
+            g = c.ground_value()
+            if g.value < 0:
                 sign, g = "-", -g
-            text, unit = str(g), g == 1
+            text, unit = str(g), g.value == 1
         else:
             text, unit = f"({c.value})", False
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])

@@ -1,12 +1,24 @@
 """Shared helpers for the test suite: random data, canonical audits, and
-small oracles (evaluation, specialization, lifting, JSON parsing) that the
-library itself does not need."""
+small oracles (evaluation, specialization, lifting, JSON parsing, the
+straightforward root and decomposition) that the library itself does not
+need."""
 
 import math
 import random
 from fractions import Fraction
 
-from polydecomp import Domain, Element, Poly, PolynomialRing, PrimeField, Rationals
+from polydecomp import (
+    OUTER_VARIABLE,
+    Decomposition,
+    Domain,
+    Element,
+    NotMonic,
+    Poly,
+    PolynomialRing,
+    PrimeField,
+    Rationals,
+)
+from polydecomp.approot import check_outer_degree
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -130,3 +142,41 @@ def poly_from_json(obj: dict, domain: Domain) -> Poly:
         else:
             coeffs.append(domain.element(Fraction(entry)))
     return Poly(domain, obj["var"], coeffs)
+
+
+def approx_root_by_powers(p: Poly, d: int) -> Poly:
+    """Oracle for approx_root: solve for each coefficient of q in turn,
+    reading the obstruction off the fully expanded q**d of the partial
+    root, m recomputations of q**d in all."""
+    if not p.is_monic:
+        raise NotMonic("approximate roots are defined for monic polynomials")
+    n = p.degree
+    check_outer_degree(n, d, "deg(p)")
+    inv_d = p.domain.invert_integer(d)
+    m = n // d
+    q = Poly.monomial(p.domain, p.variable, 1, m)
+    for k in range(1, m + 1):
+        b = (p.coeff(n - k) - (q**d).coeff(n - k)) * inv_d
+        if not b.is_zero:
+            q = q + Poly.monomial(p.domain, p.variable, b, m - k)
+    return q
+
+
+def decompose_by_peeling(p: Poly, d: int) -> Decomposition:
+    """Oracle for decompose: rebuild p - h(q) - r after every assigned
+    term and move its top term to h or r, one compose per step."""
+    q = approx_root_by_powers(p, d)
+    domain, var = p.domain, p.variable
+    m = q.degree
+    h = Poly.monomial(domain, OUTER_VARIABLE, 1, d)
+    r = Poly.zero(domain, var)
+    while True:
+        e = p - h.compose(q) - r
+        if e.is_zero:
+            return Decomposition(h, q, r, d)
+        i = e.degree
+        c = e.coeff(i)
+        if i % m == 0:
+            h = h + Poly.monomial(domain, OUTER_VARIABLE, c, i // m)
+        else:
+            r = r + Poly.monomial(domain, var, c, i)

@@ -69,6 +69,12 @@ def test_perfect_power_round_trip():
         assert approx_root(q**d, d) == q
 
 
+def test_deep_root_of_a_binomial_power():
+    # m = 200 coefficients of the root, each read off the top of p alone
+    x_plus_1 = Poly.from_coeffs(QQ, "x", [1, 1])
+    assert approx_root(x_plus_1**400, 2) == x_plus_1**200
+
+
 def test_root_ignores_low_order_terms():
     # only the coefficients of x^(n-1) .. x^(n-m) ever enter the recurrence
     rng = random.Random(67)

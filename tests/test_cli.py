@@ -11,6 +11,7 @@ import pytest
 
 from polydecomp import Poly, PrimeField, Rationals, polynomial_tower
 from polydecomp.cli import (
+    MAX_DEGREE,
     MAX_DEPTH,
     UsageError,
     element_to_text,
@@ -19,7 +20,12 @@ from polydecomp.cli import (
     poly_to_json,
 )
 from polydecomp.decomp import ConditionReport
-from polydecomp.errors import DivisionByZeroLiteral, ParseError, UnknownVariable
+from polydecomp.errors import (
+    DegreeTooLarge,
+    DivisionByZeroLiteral,
+    ParseError,
+    UnknownVariable,
+)
 from support import poly_from_json, rand_poly
 
 QQ = Rationals()
@@ -88,6 +94,11 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x^²", QQ, ["x"])
     assert info.value.position == 2
+    # nor letters of an identifier
+    with pytest.raises(ParseError) as info:
+        parse_poly("x²+1", QQ, ["x"])
+    assert info.value.position == 1
+    assert type(info.value) is ParseError
     # longer than the interpreter converts to int
     with pytest.raises(ParseError) as info:
         parse_poly("x + " + "1" * 5000, QQ, ["x"])
@@ -105,6 +116,22 @@ def test_parse_nesting_depth_is_bounded():
         with pytest.raises(ParseError) as info:
             parse_poly(text, QQ, ["x"])
         assert info.value.position == MAX_DEPTH
+
+
+def test_parse_degree_is_bounded():
+    assert parse_poly("x^5000*x^5000", QQ, ["x"]).degree == MAX_DEGREE
+    xy = ["x", "y"]
+    assert parse_poly("(y^100)^100", QQ, xy).coeff(0).value.degree == MAX_DEGREE
+    # rejected from the operands' degrees, before the product is formed
+    for text, variables, position in [
+        ("(x^10000)^10000", ["x"], 9),
+        ("(y^10000)^10000", xy, 9),
+        ("x^10000*x", ["x"], 7),
+        ("(x*y^5000)*(y^5001+x)", xy, 10),
+    ]:
+        with pytest.raises(DegreeTooLarge) as info:
+            parse_poly(text, QQ, variables)
+        assert info.value.position == position, text
 
 
 def test_parse_unknown_variable():
@@ -147,6 +174,10 @@ def test_parse_poly_validates_variable_lists():
         parse_poly("x", QQ, ["x", "x"])
     with pytest.raises(ValueError):
         parse_poly("x", QQ, ["x"], main_var="y")
+    with pytest.raises(ValueError):
+        parse_poly("x", QQ, ["x", "y²"])
+    with pytest.raises(ValueError):
+        parse_poly("x", QQ, ["é"])
 
 
 # ----------------------------------------------------------- serialization
@@ -388,12 +419,21 @@ def test_cli_error_paths(capsys):
         (["root", "x^²", "--d", "2"], "ParseError"),
         (["root", "x^2+" + "1" * 5000, "--d", "2"], "ParseError"),
         (["root", "(" * 3000 + "x" + ")" * 3000, "--d", "2"], "ParseError"),
+        (["root", "x²+1", "--d", "2"], "ParseError"),
+        (["root", "(x^10000)^10000", "--d", "2"], "DegreeTooLarge"),
+        (["root", "(y^10000)^10000", "--d", "2", "--vars", "x,y"], "DegreeTooLarge"),
+        (["root", "(x+10^5000)^2", "--d", "2"], "CoefficientTooLarge"),
+        (["root", "(x+10^5000)^2", "--d", "2", "--json"], "CoefficientTooLarge"),
+        (["decompose", "(x+10^5000)^2", "--d", "2"], "CoefficientTooLarge"),
+        (["check", "(x+10^5000*y)^2", "--d", "2", "--vars", "x,y", "--json"],
+         "CoefficientTooLarge"),
         (["check", "x^4+x^2", "--d", "2", "--field", "gf:2"], "NotInvertible"),
         (["check", "y*x^2+y", "--d", "2", "--vars", "x,y"], "NotMonicInMainVar"),
         (["root", "x^2+1", "--d", "2", "--field", "gf:4"], "UsageError"),
         (["root", "x^2+1", "--d", "2", "--field", "R"], "UsageError"),
         (["root", "x^2+1", "--d", "2", "--field", "gf:x"], "UsageError"),
         (["root", "x^2+1", "--d", "2", "--vars", "x,x"], "UsageError"),
+        (["root", "x^2+1", "--d", "2", "--vars", "x,y²"], "UsageError"),
         (["root", "x^2+1", "--d", "2", "--main-var", "w"], "UsageError"),
         (["root", "x^2+1"], "UsageError"),
         (["frobnicate", "x", "--d", "2"], "UsageError"),
@@ -404,6 +444,7 @@ def test_cli_error_paths(capsys):
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err.startswith(f"error: {expected_code}: "), (argv, captured.err)
+        assert captured.out == "", argv
 
 
 def test_cli_is_deterministic(capsys):

@@ -154,6 +154,8 @@ def test_tower_variables_must_be_distinct():
         PolynomialRing(Rationals(), "2x")
     with pytest.raises(ValueError):
         PolynomialRing(Rationals(), "")
+    with pytest.raises(ValueError):
+        PolynomialRing(Rationals(), "y²")
 
 
 def test_domain_equality_is_structural():

@@ -1,0 +1,84 @@
+"""approx_root and decompose against the straightforward oracles in
+support.py, and the polynomial-level work they are allowed to do."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polydecomp import Poly, PrimeField, Rationals, approx_root, decompose, polynomial_tower
+from support import approx_root_by_powers, decompose_by_peeling
+
+QQ = Rationals()
+QQY = polynomial_tower(QQ, ["y"])
+SMALL_PRIMES = (2, 3, 5, 7)
+
+
+def _elements(domain):
+    if isinstance(domain, PrimeField):
+        return st.integers(0, domain.p - 1).map(domain.element)
+    if domain == QQ:
+        return st.fractions(-9, 9, max_denominator=9).map(domain.element)
+    ys = st.lists(st.integers(-9, 9), max_size=3)
+    return ys.map(lambda cs: domain.element(Poly.from_coeffs(QQ, "y", cs)))
+
+
+@st.composite
+def monic_inputs(draw):
+    """(p, d) with p monic of degree d*m over QQ, QQ[y] or GF(p); over
+    GF(p), p does not divide d and p <= m.  Half the time p is an exact
+    composition h(q), so r = 0 is covered too."""
+    domain = draw(st.sampled_from([QQ, QQY] + [PrimeField(p) for p in SMALL_PRIMES]))
+    if isinstance(domain, PrimeField):
+        d = draw(st.sampled_from([d for d in range(2, 6) if d % domain.p]))
+        m = draw(st.integers(domain.p, 8))
+    else:
+        d = draw(st.integers(2, 5))
+        m = draw(st.integers(1, 6))
+
+    def monic(degree, variable):
+        coeffs = draw(st.lists(_elements(domain), min_size=degree, max_size=degree))
+        return Poly(domain, variable, coeffs + [domain.one])
+
+    if draw(st.booleans()):
+        return monic(d, "t").compose(monic(m, "x")), d
+    return monic(d * m, "x"), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_inputs())
+def test_approx_root_equals_oracle(case):
+    p, d = case
+    assert approx_root(p, d) == approx_root_by_powers(p, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_inputs())
+def test_decompose_equals_oracle(case):
+    p, d = case
+    fast, slow = decompose(p, d), decompose_by_peeling(p, d)
+    assert (fast.h, fast.q, fast.r, fast.d) == (slow.h, slow.q, slow.r, slow.d)
+
+
+@pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_poly_operation_counts(monkeypatch, domain, d):
+    calls = {"compose": 0, "__pow__": 0, "__mul__": 0}
+    for name in calls:
+        original = getattr(Poly, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Poly, name, counted)
+    m = 7
+    p = Poly.from_coeffs(domain, "x", [Fraction(i % 5 - 2, i % 3 + 1) for i in range(d * m)] + [1])
+
+    approx_root(p, d)
+    assert calls == {"compose": 0, "__pow__": 0, "__mul__": 0}
+    decompose(p, d)
+    assert calls["compose"] == 0
+    assert calls["__pow__"] == 0
+    assert calls["__mul__"] <= d
