@@ -14,7 +14,8 @@ only inside rational literals.  Letters and digits are ASCII only,
 '(' and unary '-' nest at most MAX_DEPTH levels deep, and a product or
 power whose degree in some variable, as written, would pass MAX_DEGREE
 is rejected before it is computed.  Text output re-parses to a
-structurally equal polynomial under this grammar.
+structurally equal polynomial under this grammar.  ``variety --n`` is at
+most MAX_VARIETY_N: the generic polynomial has n indeterminates.
 
 Exit codes: 0 for success (for check: decomposable), 2 for a well-formed
 input that is not decomposable (check only), 1 for any error.  Errors
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -60,47 +62,34 @@ from .errors import (
 )
 from .poly import Poly, join_terms
 
-MAX_EXPONENT = 10_000
 MAX_DEGREE = 10_000
 MAX_DEPTH = 100
+MAX_VARIETY_N = 24
 
 
 class UsageError(PolyDecompError):
     """Bad command line or malformed flag values."""
-
-    code = "UsageError"
 
 
 # ----------------------------------------------------------------------
 # parsing
 
 
-_DIGITS = "0123456789"
+# whitespace matches no alternative, so finditer skips it
+_TOKEN = re.compile(
+    rf"(?P<number>[0-9]+)|(?P<ident>{VARIABLE_NAME.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples, an operator being its own kind."""
     tokens = []
-    pos = 0
-    end = len(text)
-    while pos < end:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        start = pos
-        if ch in _DIGITS:
-            while pos < end and text[pos] in _DIGITS:
-                pos += 1
-            tokens.append(("number", text[start:pos], start))
-        elif ch in "+-*^()/":
-            tokens.append((ch, ch, start))
-            pos += 1
-        elif name := VARIABLE_NAME.match(text, pos):
-            pos = name.end()
-            tokens.append(("ident", name.group(), start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append(("end", "", end))
+    for match in _TOKEN.finditer(text):
+        kind, value, start = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", start)
+        tokens.append((value if kind == "op" else kind, value, start))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -186,7 +175,7 @@ class _Parser:
             pos = self.take()[2]
             tok = self.expect("number")
             e = _int(tok)
-            if e > MAX_EXPONENT:
+            if e > MAX_DEGREE:
                 raise ParseError(f"exponent {e} is too large", tok[2])
             degrees = _bounded([e * a for a in degrees], pos)
             atom = atom**e
@@ -320,13 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     sp = sub.add_parser("root", help="approximate d-th root of a monic polynomial")
+    sp.set_defaults(run=_cmd_root)
     common(sp)
     sp = sub.add_parser("decompose", help="write p as h(Q) + R")
+    sp.set_defaults(run=_cmd_decompose)
     common(sp)
     sp.add_argument("--verify", action="store_true", help="also print the condition report")
     sp = sub.add_parser("check", help="decide d-decomposability (exit 0 yes, 2 no)")
+    sp.set_defaults(run=_cmd_check)
     common(sp)
     sp = sub.add_parser("variety", help="equations cutting out the decomposable locus")
+    sp.set_defaults(run=_cmd_variety)
     sp.add_argument("--n", type=int, required=True, help="degree of the generic polynomial")
     sp.add_argument("--d", type=int, required=True, help="outer degree d >= 2")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -431,6 +424,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_variety(args) -> int:
+    if args.n > MAX_VARIETY_N:
+        raise UsageError(f"--n {args.n} is above the bound {MAX_VARIETY_N}")
     system = variety_equations(args.n, args.d)
     if args.json:
         print(json.dumps(_variety_json(system)))
@@ -440,18 +435,10 @@ def _cmd_variety(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "root": _cmd_root,
-    "decompose": _cmd_decompose,
-    "check": _cmd_check,
-    "variety": _cmd_variety,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except PolyDecompError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

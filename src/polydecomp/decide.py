@@ -56,6 +56,21 @@ class DecomposabilityVerdict:
     normalization: Element | None
 
 
+def _decide(p: Poly, d: int, lead: Element | None) -> DecomposabilityVerdict:
+    """The decision rule for monic p: p = h(q) exactly when r vanishes
+    and every coefficient of h is a ground constant.  The witness h
+    comes back over the ground domain, multiplied by ``lead`` when p is
+    the input scaled monic by that factor."""
+    dec = decompose(p, d)
+    if not dec.r.is_zero or not all(c.is_ground for c in dec.h.coeffs):
+        return DecomposabilityVerdict(False, None, dec.r, lead)
+    k = ground_domain(p.domain)
+    h = Poly(k, dec.h.variable, tuple(c.ground_value() for c in dec.h.coeffs))
+    if lead is not None:
+        h = h * lead
+    return DecomposabilityVerdict(True, Witness(h, dec.q), dec.r, lead)
+
+
 def is_decomposable_uni(p: Poly, d: int) -> DecomposabilityVerdict:
     """Decide p = h(q) with deg h = d over a field; p need not be monic.
 
@@ -67,16 +82,9 @@ def is_decomposable_uni(p: Poly, d: int) -> DecomposabilityVerdict:
     if p.is_zero:
         raise NotMonic("the zero polynomial cannot be scaled monic")
     lead = p.leading_coefficient
-    normalization = None
-    monic_p = p
-    if lead != p.domain.one:
-        monic_p = p * lead.inverse()
-        normalization = lead
-    dec = decompose(monic_p, d)
-    if not dec.r.is_zero:
-        return DecomposabilityVerdict(False, None, dec.r, normalization)
-    h = dec.h if normalization is None else dec.h * lead
-    return DecomposabilityVerdict(True, Witness(h, dec.q), dec.r, normalization)
+    if lead == p.domain.one:
+        return _decide(p, d, None)
+    return _decide(p * lead.inverse(), d, lead)
 
 
 def is_decomposable_multi(p: Poly, d: int) -> DecomposabilityVerdict:
@@ -88,12 +96,7 @@ def is_decomposable_multi(p: Poly, d: int) -> DecomposabilityVerdict:
     """
     if not p.is_monic:
         raise NotMonicInMainVar(f"input is not monic in {p.variable!r}")
-    dec = decompose(p, d)
-    if not dec.r.is_zero or not all(c.is_ground for c in dec.h.coeffs):
-        return DecomposabilityVerdict(False, None, dec.r, None)
-    k = ground_domain(p.domain)
-    h = Poly(k, dec.h.variable, tuple(c.ground_value() for c in dec.h.coeffs))
-    return DecomposabilityVerdict(True, Witness(h, dec.q), dec.r, None)
+    return _decide(p, d, None)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ forms coincide.  Floating point never appears anywhere.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -121,22 +122,30 @@ class Element:
 class Domain:
     """Base class of all coefficient domains.
 
-    Subclasses provide the raw value hooks _invert and _is_zero plus
-    construction and metadata.  The _add, _sub, _mul and _neg hooks
-    default to the values' own operators; PrimeField overrides them to
-    reduce mod p.  Domains compare structurally and are cheap to
-    construct; equal domains are fully interchangeable.
+    Subclasses provide the raw value hooks _canonical and _invert plus
+    metadata.  ``element`` passes elements of this domain through,
+    hands elements of other domains to _lift (an error except in
+    towers), rejects floats and canonicalizes anything else with
+    _canonical.  The _add, _sub, _mul, _neg and _is_zero hooks default
+    to the values' own operators; PrimeField overrides the first four to
+    reduce mod p.  Subclasses are dataclasses, so domains compare
+    structurally; equal domains are fully interchangeable.
     """
 
     is_field = False
 
     def element(self, value) -> Element:
         """Coerce ``value`` into this domain, canonicalizing it."""
-        raise NotImplementedError
+        if isinstance(value, Element):
+            if value.domain is self or value.domain == self:
+                return value
+            return self._lift(value)
+        if isinstance(value, float):
+            raise TypeError("floating point values are not allowed")
+        return Element(self, self._canonical(value))
 
-    def from_int(self, n: int) -> Element:
-        """The image of the integer n in this domain."""
-        return self.element(n)
+    def _lift(self, value: Element) -> Element:
+        raise DomainMismatch(f"{value.domain} is not {self}")
 
     # cached with setattr, not functools.cached_property: writing the
     # instance __dict__ directly slows every later attribute load on
@@ -159,7 +168,7 @@ class Domain:
 
     def invert_integer(self, m: int) -> Element:
         """The inverse of the integer m in this domain, if it has one."""
-        raise NotImplementedError
+        return self.element(m).inverse()
 
     def _add(self, a, b):
         return a + b
@@ -173,45 +182,26 @@ class Domain:
     def _neg(self, a):
         return -a
 
+    def _is_zero(self, a) -> bool:
+        return a == 0
 
+
+@dataclass(unsafe_hash=True)
 class Rationals(Domain):
     """The field of rational numbers."""
 
     is_field = True
 
-    def element(self, value) -> Element:
-        if isinstance(value, Element):
-            if value.domain != self:
-                raise DomainMismatch(f"{value.domain} is not {self}")
-            return value
-        if isinstance(value, float):
-            raise TypeError("floating point values are not allowed")
-        return Element(self, Fraction(value))
-
-    def invert_integer(self, m: int) -> Element:
-        if m == 0:
-            raise NotInvertible("0 has no inverse")
-        return Element(self, Fraction(1, m))
+    def _canonical(self, value):
+        return Fraction(value)
 
     def _invert(self, a):
         if a == 0:
             raise NotInvertible("0 has no inverse")
         return 1 / a
 
-    def _is_zero(self, a) -> bool:
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash(Rationals)
-
     def __str__(self):
         return "QQ"
-
-    def __repr__(self):
-        return "Rationals()"
 
 
 def _is_prime(n: int) -> bool:
@@ -228,33 +218,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(unsafe_hash=True)
 class PrimeField(Domain):
     """Integers modulo a prime p.  Values are residues in [0, p)."""
 
+    p: int
     is_field = True
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
+    def __post_init__(self):
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
             raise TypeError("p must be an int")
-        if p >= 2**31:
+        if self.p >= 2**31:
             raise ValueError("p must be below 2**31")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
-    def element(self, value) -> Element:
-        if isinstance(value, Element):
-            if value.domain != self:
-                raise DomainMismatch(f"{value.domain} is not {self}")
-            return value
-        if isinstance(value, float):
-            raise TypeError("floating point values are not allowed")
+    def _canonical(self, value):
         if isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
             if den % self.p == 0:
                 raise NotInvertible(f"{den} is not invertible modulo {self.p}")
-            return Element(self, num * pow(den, self.p - 2, self.p) % self.p)
-        return Element(self, value % self.p)
+            return num * pow(den, self.p - 2, self.p) % self.p
+        return value % self.p
 
     def invert_integer(self, m: int) -> Element:
         r = m % self.p
@@ -279,22 +264,11 @@ class PrimeField(Domain):
             raise NotInvertible(f"0 is not invertible modulo {self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def _is_zero(self, a) -> bool:
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash((PrimeField, self.p))
-
     def __str__(self):
         return f"GF({self.p})"
 
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
-
+@dataclass(unsafe_hash=True)
 class PolynomialRing(Domain):
     """Polynomials in one variable over a base domain.
 
@@ -303,34 +277,32 @@ class PolynomialRing(Domain):
     must not already occur deeper in the tower.
     """
 
-    is_field = False
+    base: Domain
+    variable: str
 
-    def __init__(self, base: Domain, variable: str):
-        if not isinstance(base, Domain):
+    def __post_init__(self):
+        if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
-        if not VARIABLE_NAME.fullmatch(variable):
-            raise ValueError(f"bad variable name {variable!r}")
-        d = base
+        if not VARIABLE_NAME.fullmatch(self.variable):
+            raise ValueError(f"bad variable name {self.variable!r}")
+        d = self.base
         while isinstance(d, PolynomialRing):
-            if d.variable == variable:
-                raise ValueError(f"variable {variable!r} already occurs in the tower")
+            if d.variable == self.variable:
+                raise ValueError(f"variable {self.variable!r} already occurs in the tower")
             d = d.base
-        self.base = base
-        self.variable = variable
 
-    def element(self, value) -> Element:
+    def _canonical(self, value):
         from .poly import Poly
 
-        if isinstance(value, Element):
-            if value.domain == self:
-                return value
-            # an element of a deeper level lifts to a constant
-            return Element(self, Poly.constant(self.base, self.variable, value))
-        if isinstance(value, Poly):
-            if value.domain == self.base and value.variable == self.variable:
-                return Element(self, value)
-            raise DomainMismatch(f"{value.variable!r}-polynomial does not fit {self}")
-        return Element(self, Poly.constant(self.base, self.variable, value))
+        if not isinstance(value, Poly):
+            return Poly.constant(self.base, self.variable, value)
+        if value.domain == self.base and value.variable == self.variable:
+            return value
+        raise DomainMismatch(f"{value.variable!r}-polynomial does not fit {self}")
+
+    def _lift(self, value: Element) -> Element:
+        # an element of a deeper level becomes a constant
+        return Element(self, self._canonical(value))
 
     def invert_integer(self, m: int) -> Element:
         return self.element(self.base.invert_integer(m))
@@ -357,21 +329,8 @@ class PolynomialRing(Domain):
     def _is_zero(self, a) -> bool:
         return a.is_zero
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialRing)
-            and other.variable == self.variable
-            and other.base == self.base
-        )
-
-    def __hash__(self):
-        return hash((PolynomialRing, self.variable, self.base))
-
     def __str__(self):
         return f"{self.base}[{self.variable}]"
-
-    def __repr__(self):
-        return f"PolynomialRing({self.base!r}, {self.variable!r})"
 
 
 def polynomial_tower(base: Domain, names: Sequence[str]) -> Domain:

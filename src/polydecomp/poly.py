@@ -14,12 +14,14 @@ represented, one variable per tower level.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterable
 
 from .domain import Domain, Element
 from .errors import DomainMismatch, VariableMismatch
 
 
+@total_ordering
 class _NegInf:
     """Degree of the zero polynomial; ordered below every integer."""
 
@@ -27,15 +29,6 @@ class _NegInf:
 
     def __lt__(self, other):
         return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
 
     def __add__(self, other):
         return self

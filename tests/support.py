@@ -52,11 +52,11 @@ def rand_poly(rng: random.Random, domain, variable: str, degree: int, monic: boo
 def rand_int_poly(rng: random.Random, domain, variable: str, degree: int, monic: bool = False) -> Poly:
     """Random polynomial with small integer coefficients (keeps rational
     arithmetic cheap in the larger suites)."""
-    coeffs = [domain.from_int(rng.randint(-9, 9)) for _ in range(degree)]
+    coeffs = [domain.element(rng.randint(-9, 9)) for _ in range(degree)]
     if monic:
         coeffs.append(domain.one)
     else:
-        coeffs.append(domain.from_int(rng.choice([i for i in range(-9, 10) if i])))
+        coeffs.append(domain.element(rng.choice([i for i in range(-9, 10) if i])))
     return Poly(domain, variable, coeffs)
 
 

@@ -86,7 +86,7 @@ def test_criterion_2_sextic_variety_equations():
         tower = polynomial_tower(QQ, system.indeterminates)
         a = {k: tower.generator(f"a{k}") for k in range(1, 6)}
         half = tower.element(Fraction(1, 2))
-        two = tower.from_int(2)
+        two = tower.element(2)
         b1 = a[1] * half
         b2 = (a[2] - b1 * b1) * half
         b3 = (a[3] - two * b1 * b2) * half
@@ -189,7 +189,7 @@ def test_criterion_7_error_taxonomy_and_exit_codes():
         with pytest.raises(InvalidOuterDegree):
             decompose(p6, 1)
         with pytest.raises(NotMonic):
-            decompose(p6 * QQ.from_int(3), 2)
+            decompose(p6 * QQ.element(3), 2)
 
         cli_cases = [
             (["check", "x^4+x^2", "--d", "2", "--field", "gf:2"], "NotInvertible"),

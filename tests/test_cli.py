@@ -3,16 +3,20 @@
 import dataclasses
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from polydecomp import Poly, PrimeField, Rationals, polynomial_tower
+import polydecomp
+from polydecomp import Poly, PolyDecompError, PrimeField, Rationals, polynomial_tower
 from polydecomp.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
+    MAX_VARIETY_N,
     UsageError,
     element_to_text,
     main,
@@ -247,7 +251,7 @@ def test_element_to_text_flattens_towers():
     assert element_to_text(a2 * a3 - a1 + tower.element(Fraction(-5, 3))) == "a2*a3 - a1 - 5/3"
     gf = polynomial_tower(PrimeField(7), ["u", "v"])
     u, v = gf.generator("u"), gf.generator("v")
-    assert element_to_text(u * v * gf.from_int(3) - u - gf.one) == "3*u*v + 6*u + 6"
+    assert element_to_text(u * v * gf.element(3) - u - gf.one) == "3*u*v + 6*u + 6"
 
 
 # ------------------------------------------------------------ CLI commands
@@ -438,6 +442,8 @@ def test_cli_error_paths(capsys):
         (["root", "x^2+1"], "UsageError"),
         (["frobnicate", "x", "--d", "2"], "UsageError"),
         (["variety", "--n", "6", "--d", "4"], "DegreeNotDivisible"),
+        (["variety", "--n", str(MAX_VARIETY_N + 1), "--d", "2"], "UsageError"),
+        (["variety", "--n", "40", "--d", "2"], "UsageError"),
     ]
     for argv, expected_code in cases:
         code = main(argv)
@@ -445,6 +451,20 @@ def test_cli_error_paths(capsys):
         assert code == 1, argv
         assert captured.err.startswith(f"error: {expected_code}: "), (argv, captured.err)
         assert captured.out == "", argv
+
+
+def test_readme_error_table_lists_every_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| code                  | raised when") :].splitlines()
+    table = lines[2 : next(i for i, line in enumerate(lines) if not line.startswith("|"))]
+    rows = [re.match(r"\| (\w+) +\|", line).group(1) for line in table]
+    exported = [getattr(polydecomp, name) for name in polydecomp.__all__]
+    codes = {
+        c.code for c in exported
+        if isinstance(c, type) and issubclass(c, PolyDecompError) and c is not PolyDecompError
+    }
+    assert set(rows) == codes | {UsageError.code}
+    assert len(rows) == len(set(rows))
 
 
 def test_cli_is_deterministic(capsys):

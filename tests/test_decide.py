@@ -82,7 +82,7 @@ def test_decomposability_is_scaling_invariant():
     for _ in range(40):
         d = rng.choice([2, 3])
         base = rand_int_poly(rng, QQ, "x", d * 2, monic=True)
-        p = base * QQ.from_int(rng.randint(2, 9))  # never monic
+        p = base * QQ.element(rng.randint(2, 9))  # never monic
         c = QQ.element(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         assert is_decomposable_uni(p, d).decomposable == is_decomposable_uni(p * c, d).decomposable
 

@@ -176,7 +176,7 @@ def test_verify_flags_each_violation():
     p = P6
     good = decompose(p, 3)
 
-    broken_monic = Decomposition(good.h * QQ.from_int(2), good.q, good.r, 3)
+    broken_monic = Decomposition(good.h * QQ.element(2), good.q, good.r, 3)
     report = verify(p, broken_monic)
     assert not report.monic
     assert not report.reconstruction
@@ -214,6 +214,12 @@ def test_verify_survives_degenerate_inner():
         2,
     )
     assert not verify(p, mismatched).reconstruction
+
+    # an r that cannot even be added to h(q) is reported, not raised
+    good = decompose(p, 3)
+    for r in (Poly.gen(QQ, "y"), Poly.gen(PrimeField(5), "x")):
+        report = verify(p, Decomposition(good.h, good.q, r, 3))
+        assert not report.reconstruction
 
 
 def test_condition_report_ok_requires_all():

@@ -72,10 +72,10 @@ def test_invert_integer():
     assert q.invert_integer(-2).value == Fraction(-1, 2)
     f5 = PrimeField(5)
     for m in (1, 2, 3, 4, 6, -1):
-        assert f5.invert_integer(m) * f5.from_int(m) == f5.one
+        assert f5.invert_integer(m) * f5.element(m) == f5.one
     tower = PolynomialRing(Rationals(), "y")
     inv = tower.invert_integer(4)
-    assert inv * tower.from_int(4) == tower.one
+    assert inv * tower.element(4) == tower.one
 
 
 def test_invert_integer_failures():
@@ -99,24 +99,33 @@ def test_element_inverse():
         assert e.inverse() * e == f7.one
     with pytest.raises(NotInvertible):
         q.zero.inverse()
+    with pytest.raises(NotInvertible, match="^0 is not invertible modulo 5$"):
+        PrimeField(5).element(0).inverse()
     ring = PolynomialRing(q, "y")
-    const = ring.from_int(5)
+    const = ring.element(5)
     assert const.inverse() * const == ring.one
     with pytest.raises(NotInvertible):
         ring.generator().inverse()
 
 
 def test_domain_mismatch_is_an_error():
-    a = Rationals().from_int(1)
-    b = PrimeField(5).from_int(1)
+    a = Rationals().element(1)
+    b = PrimeField(5).element(1)
     with pytest.raises(DomainMismatch):
         a + b
     with pytest.raises(DomainMismatch):
         a * b
-    r1 = PolynomialRing(Rationals(), "y").from_int(1)
-    r2 = PolynomialRing(Rationals(), "z").from_int(1)
+    r1 = PolynomialRing(Rationals(), "y").element(1)
+    r2 = PolynomialRing(Rationals(), "z").element(1)
     with pytest.raises(DomainMismatch):
         r1 - r2
+    # coercion refuses an element of another ground domain
+    with pytest.raises(DomainMismatch, match="^GF\\(5\\) is not QQ$"):
+        Rationals().element(b)
+    with pytest.raises(DomainMismatch, match="^QQ is not GF\\(5\\)$"):
+        PrimeField(5).element(a)
+    with pytest.raises(DomainMismatch):
+        PolynomialRing(Rationals(), "y").element(Poly.gen(Rationals(), "z"))
 
 
 def test_prime_validation():
@@ -156,6 +165,8 @@ def test_tower_variables_must_be_distinct():
         PolynomialRing(Rationals(), "")
     with pytest.raises(ValueError):
         PolynomialRing(Rationals(), "y²")
+    with pytest.raises(TypeError):
+        PolynomialRing(3, "y")
 
 
 def test_domain_equality_is_structural():
@@ -170,22 +181,22 @@ def test_domain_equality_is_structural():
 def test_element_equality_is_structural():
     q1, q2 = Rationals(), Rationals()
     assert q1.element(Fraction(2, 4)) == q2.element(Fraction(1, 2))
-    assert q1.from_int(1) != q1.from_int(2)
-    assert q1.from_int(1) != PrimeField(5).from_int(1)
-    assert hash(q1.from_int(3)) == hash(q2.from_int(3))
+    assert q1.element(1) != q1.element(2)
+    assert q1.element(1) != PrimeField(5).element(1)
+    assert hash(q1.element(3)) == hash(q2.element(3))
 
 
 def test_ground_helpers():
     tower = polynomial_tower(Rationals(), ["a", "b"])
     assert ground_domain(tower) == Rationals()
-    five = tower.from_int(5)
+    five = tower.element(5)
     assert five.is_ground
-    assert five.ground_value() == Rationals().from_int(5)
+    assert five.ground_value() == Rationals().element(5)
     gen = tower.generator("a")
     assert not gen.is_ground
     with pytest.raises(ValueError):
         gen.ground_value()
-    assert Rationals().from_int(3).is_ground
+    assert Rationals().element(3).is_ground
 
 
 def test_generator_lookup():
@@ -201,9 +212,9 @@ def test_generator_lookup():
 def test_generators_multiply_like_variables():
     tower = polynomial_tower(Rationals(), ["a", "b"])
     a, b = tower.generator("a"), tower.generator("b")
-    point = {"a": Rationals().from_int(3), "b": Rationals().from_int(4)}
-    product = a * a * b + tower.from_int(2)
-    assert specialize(product, point) == Rationals().from_int(3 * 3 * 4 + 2)
+    point = {"a": Rationals().element(3), "b": Rationals().element(4)}
+    product = a * a * b + tower.element(2)
+    assert specialize(product, point) == Rationals().element(3 * 3 * 4 + 2)
 
 
 def test_specialize_matches_hand_evaluation():
@@ -227,4 +238,4 @@ def test_tower_element_lifting():
     lifted = tower.element(ground)
     assert lifted.is_ground
     assert lifted.ground_value() == ground
-    assert lifted + tower.from_int(1) == tower.element(Fraction(5, 2))
+    assert lifted + tower.element(1) == tower.element(Fraction(5, 2))

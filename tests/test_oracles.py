@@ -1,13 +1,23 @@
 """approx_root and decompose against the straightforward oracles in
-support.py, and the polynomial-level work they are allowed to do."""
+support.py and against SymPy, and the polynomial-level work they are
+allowed to do."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydecomp import Poly, PrimeField, Rationals, approx_root, decompose, polynomial_tower
+from polydecomp import (
+    Poly,
+    PrimeField,
+    Rationals,
+    approx_root,
+    decompose,
+    is_decomposable_uni,
+    polynomial_tower,
+)
 from support import approx_root_by_powers, decompose_by_peeling
 
 QQ = Rationals()
@@ -82,3 +92,38 @@ def test_poly_operation_counts(monkeypatch, domain, d):
     assert calls["compose"] == 0
     assert calls["__pow__"] == 0
     assert calls["__mul__"] <= d
+
+
+def test_sympy_chains_are_found_here():
+    """SymPy's decompose (Kozen-Landau) as a one-sided oracle over QQ.
+
+    For every chain f1(f2(...fk)) it returns, p must be decomposable
+    here at each prefix degree deg f1 * ... * deg fi, with a witness that
+    recomposes to p.  SymPy misses most compositions whose inner degree
+    is 3 or more, so its answer [p] is no evidence and is not checked.
+    """
+    import sympy  # here, so that without it only this test fails
+
+    x = sympy.Symbol("x")
+    rng = random.Random(2009)
+    composite = [n for n in range(12, 61) if any(n % k == 0 for k in range(2, n))]
+    chains = 0
+    for case in range(120):
+        n = rng.choice(composite)
+        d = rng.choice([k for k in range(2, n) if n % k == 0])
+        m = n // d
+        h = Poly.from_coeffs(QQ, "t", [rng.randint(-9, 9) for _ in range(d)] + [1])
+        q = Poly.from_coeffs(QQ, "x", [rng.randint(-9, 9) for _ in range(m)] + [1])
+        p = h.compose(q)
+        if case % 2:
+            c = rng.choice([-1, 1]) * rng.randint(1, 9)
+            p = p + Poly.monomial(QQ, "x", c, rng.randrange(1, n - m))
+        chain = sympy.decompose(sympy.Poly([int(a.value) for a in reversed(p.coeffs)], x))
+        chains += len(chain) > 1
+        outer = 1
+        for f in chain[:-1]:
+            outer *= f.degree()
+            verdict = is_decomposable_uni(p, outer)
+            assert verdict.decomposable, (case, n, outer)
+            assert verdict.witness.h.compose(verdict.witness.q) == p
+    assert chains >= 10

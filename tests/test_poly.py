@@ -46,7 +46,7 @@ def test_golden_compositions_reconstruct_p6():
 
 def test_construction_strips_leading_zeros():
     p = Poly.from_coeffs(QQ, "x", [1, 2, 0, 0])
-    assert p.coeffs == (QQ.from_int(1), QQ.from_int(2))
+    assert p.coeffs == (QQ.element(1), QQ.element(2))
     assert p.degree == 1
     assert Poly.from_coeffs(QQ, "x", [0, 0]).is_zero
 
@@ -77,9 +77,9 @@ def test_degree_of_product_adds():
 
 def test_coeff_access():
     p = Poly.from_coeffs(QQ, "x", [5, 0, 7])
-    assert p.coeff(0) == QQ.from_int(5)
+    assert p.coeff(0) == QQ.element(5)
     assert p.coeff(1).is_zero
-    assert p.coeff(2) == QQ.from_int(7)
+    assert p.coeff(2) == QQ.element(7)
     assert p.coeff(3).is_zero
     assert p.coeff(-1).is_zero
 
@@ -255,13 +255,13 @@ def test_str_round_figures():
     assert str(Poly.from_coeffs(QQ, "x", [-1, 1])) == "x - 1"
     assert str(Poly.from_coeffs(PrimeField(5), "x", [2, 4, 1])) == "x^2 + 4*x + 2"
     tower = polynomial_tower(QQ, ["y"])
-    p = Poly(tower, "x", (tower.from_int(1), tower.generator("y")))
+    p = Poly(tower, "x", (tower.element(1), tower.generator("y")))
     assert str(p) == "(y)*x + 1"
     # a -1 inside a tower coefficient, a negative ground constant coefficient
     y = tower.generator("y")
-    q = Poly(tower, "x", (tower.element(Fraction(-3, 2)), -y, tower.from_int(-1), y * y - tower.one))
+    q = Poly(tower, "x", (tower.element(Fraction(-3, 2)), -y, tower.element(-1), y * y - tower.one))
     assert str(q) == "(y^2 - 1)*x^3 - x^2 + (-y)*x - 3/2"
     gf = polynomial_tower(PrimeField(7), ["u", "v"])
     u, v = gf.generator("u"), gf.generator("v")
-    r = Poly(gf, "x", (gf.from_int(-1), -u, v * u + gf.from_int(2)))
+    r = Poly(gf, "x", (gf.element(-1), -u, v * u + gf.element(2)))
     assert str(r) == "((u)*v + 2)*x^2 + ((6*u))*x + 6"
