@@ -29,6 +29,7 @@ from .domain import (
 )
 from .errors import (
     CoefficientTooLarge,
+    ConstantTooLarge,
     DegreeNotDivisible,
     DegreeTooLarge,
     DivisionByZeroLiteral,
@@ -67,6 +68,7 @@ __all__ = [
     "ground_domain",
     "polynomial_tower",
     "CoefficientTooLarge",
+    "ConstantTooLarge",
     "DegreeNotDivisible",
     "DegreeTooLarge",
     "DivisionByZeroLiteral",

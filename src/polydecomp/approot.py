@@ -16,7 +16,9 @@ involves b_k, so matching A[d][k] = a_k solves
     b_k = (a_k - (rest_1 + ... + rest_d)) * d^-1
 
 one k at a time.  Only the top m + 1 coefficients of P are read, and
-the table costs O(d*m^2) ring operations and no polynomial product.
+the table costs O(d*m^2) ring operations and no polynomial product;
+the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
+times its number of terms.
 d must be invertible in the domain; nothing else is, so the same
 recurrence serves Q, Q[y]... and GF(p) with p <= m.
 """
@@ -46,13 +48,16 @@ def approx_root(p: Poly, d: int) -> Poly:
     m = n // d
     zero = p.domain.zero
     b = [p.domain.one]
+    nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
     # rows[j - 1][k] = A[j][k] for j = 1 .. d - 1; A[d] is never needed
     rows = [[p.domain.one] + [zero] * m for _ in range(d - 1)]
     for k in range(1, m + 1):
         # rest_1 = 0, and rest_(j+1) is read off row j
-        rests = [zero] + [sum((b[i] * row[k - i] for i in range(1, k)), zero) for row in rows]
+        rests = [zero] + [sum((b[i] * row[k - i] for i in nonzero), zero) for row in rows]
         b_k = (p.coeff(n - k) - sum(rests, zero)) * inv_d
         b.append(b_k)
+        if not b_k.is_zero:
+            nonzero.append(k)
         below = zero
         for row, rest in zip(rows, rests):
             row[k] = below = below + b_k + rest

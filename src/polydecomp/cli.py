@@ -12,8 +12,11 @@ Polynomial grammar (whitespace between tokens is ignored):
 Multiplication is always explicit ('2*x', never '2x') and '/' exists
 only inside rational literals.  Letters and digits are ASCII only,
 '(' and unary '-' nest at most MAX_DEPTH levels deep, and a product or
-power whose degree in some variable, as written, would pass MAX_DEGREE
-is rejected before it is computed.  Text output re-parses to a
+power whose degree in some variable, as written, would pass MAX_DEGREE,
+or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
+from its operands, is rejected before it is computed.  Parsing keeps
+only the nonzero terms, so expanded input costs time linear in its
+length.  Text output re-parses to a
 structurally equal polynomial under this grammar.  ``variety --n`` is at
 most MAX_VARIETY_N: the generic polynomial has n indeterminates.
 
@@ -31,6 +34,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Sequence
 
@@ -53,6 +57,7 @@ from .domain import (
     polynomial_tower,
 )
 from .errors import (
+    ConstantTooLarge,
     DegreeTooLarge,
     DivisionByZeroLiteral,
     NotInvertible,
@@ -63,6 +68,7 @@ from .errors import (
 from .poly import Poly, join_terms
 
 MAX_DEGREE = 10_000
+MAX_COEFF_BITS = 2**20
 MAX_DEPTH = 100
 MAX_VARIETY_N = 24
 
@@ -93,13 +99,32 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _bounded(degrees, pos: int) -> tuple[int, ...]:
-    """The degrees of a product or power, checked against MAX_DEGREE
-    before the operation is computed."""
+def _bounded(degrees, bits: int, pos: int) -> tuple[int, ...]:
+    """The degrees of a product or power, checked against MAX_DEGREE,
+    and a bound on the bit length of its coefficients, checked against
+    MAX_COEFF_BITS, before the operation is computed."""
     degrees = tuple(degrees)
     if max(degrees) > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {max(degrees)} is above the bound {MAX_DEGREE}", pos)
+    if bits > MAX_COEFF_BITS:
+        raise ConstantTooLarge(
+            f"coefficients could reach {bits} bits, above the bound {MAX_COEFF_BITS}", pos
+        )
     return degrees
+
+
+def _norm_bits(terms: dict) -> int:
+    """Bits of the largest numerator and of the common denominator L of
+    the values, plus log2 of the number of terms: a bound on the bit
+    length of L and of the sum of |v*L| over the values v.  So the
+    coefficients of a product have numerators and denominators of at
+    most the sum of its factors' norm bits, and those of a power at most
+    e times its base's."""
+    if not terms:
+        return 0
+    largest = max(abs(v.numerator) for v in terms.values()).bit_length()
+    common = lcm(*(v.denominator for v in terms.values())).bit_length()
+    return largest + common + (len(terms) - 1).bit_length()
 
 
 def _int(tok: tuple[str, str, int]) -> int:
@@ -109,13 +134,38 @@ def _int(tok: tuple[str, str, int]) -> int:
         raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
 
 
-class _Parser:
-    """Recursive descent over the token list, building Poly values.
+def _dense(terms: dict, domain: Domain, variable: str) -> Poly:
+    """The Poly in ``variable`` over ``domain`` with the given terms:
+    key[0] is the exponent of ``variable`` and key[1:] are those of the
+    domain's tower levels, outermost first."""
+    if isinstance(domain, PolynomialRing):
+        groups: dict = {}
+        for key, value in terms.items():
+            groups.setdefault(key[0], {})[key[1:]] = value
+        coeffs = {
+            e: Element(domain, _dense(sub, domain.base, domain.variable))
+            for e, sub in groups.items()
+        }
+    else:
+        coeffs = {key[0]: Element(domain, value) for key, value in terms.items()}
+    dense = [domain.zero] * (max(coeffs, default=-1) + 1)
+    for e, c in coeffs.items():
+        dense[e] = c
+    return Poly(domain, variable, dense)
 
-    Each rule returns the Poly it parsed together with its degree in
-    each variable, main variable first, as written: a sum takes the
-    larger degree, so cancellation is not seen.  That is what lets a
-    product or power be bounded before it is computed.
+
+class _Parser:
+    """Recursive descent over the token list, building sparse maps.
+
+    Each rule returns the terms it parsed as a map {exponent tuple: raw
+    ground value} without zero values, exponents listed main variable
+    first and then the tower levels from the outermost in, together
+    with its degree in each variable, in the same order, as written: a
+    sum takes the larger degree, so cancellation is not seen.  That is
+    what lets a product or power be bounded before it is computed.
+    Values combine through the field's own hooks.  A map belongs to the
+    rule that returned it, so sums and negations work in place, and
+    ``parse`` turns the final map into a dense tower Poly once.
     """
 
     def __init__(self, text: str, domain: Domain, main: str, others: Sequence[str], field: Domain):
@@ -123,10 +173,11 @@ class _Parser:
         self.index = 0
         self.domain = domain
         self.main = main
-        names = [main, *others]
-        self.units = {v: tuple(int(v == w) for w in names) for v in names}
-        self.constant = (0,) * len(names)
+        levels = [main, *reversed(others)]
+        self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
+        self.constant = (0,) * len(levels)
         self.field = field
+        self.one = field.one.value
         self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -145,43 +196,93 @@ class _Parser:
         return tok
 
     def parse(self) -> Poly:
-        result, _ = self.expr()
+        terms, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return _dense(terms, self.domain, self.main)
+
+    # ------------------------------------------------------------------
+    # sparse arithmetic
+
+    def negate(self, a: dict) -> dict:
+        neg = self.field._neg
+        for key, value in a.items():
+            a[key] = neg(value)
+        return a
+
+    def merge(self, a: dict, b: dict) -> dict:
+        """a + b, merging the smaller map into the larger one."""
+        if len(a) < len(b):
+            a, b = b, a
+        plus, is_zero = self.field._add, self.field._is_zero
+        for key, value in b.items():
+            if key in a:
+                value = plus(a[key], value)
+                if is_zero(value):
+                    del a[key]
+                    continue
+            a[key] = value
+        return a
+
+    def product(self, a: dict, b: dict) -> dict:
+        plus, times, is_zero = self.field._add, self.field._mul, self.field._is_zero
+        out: dict = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                key = tuple(map(add, ka, kb))
+                old = out.get(key)
+                out[key] = times(va, vb) if old is None else plus(old, times(va, vb))
+        return {key: value for key, value in out.items() if not is_zero(value)}
+
+    def power(self, a: dict, e: int) -> dict:
+        if len(a) == 1:
+            [(key, value)] = a.items()
+            return {tuple(e * k for k in key): self.field._pow(value, e)}
+        result = {self.constant: self.one}
+        while e:
+            if e & 1:
+                result = self.product(result, a)
+            e >>= 1
+            if e:
+                a = self.product(a, a)
         return result
 
-    def expr(self) -> tuple[Poly, tuple[int, ...]]:
-        node, degrees = self.term()
+    # ------------------------------------------------------------------
+    # grammar rules
+
+    def expr(self) -> tuple[dict, tuple[int, ...]]:
+        terms, degrees = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs, rhs_degrees = self.term()
-            node = node + rhs if op == "+" else node - rhs
+            terms = self.merge(terms, rhs if op == "+" else self.negate(rhs))
             degrees = tuple(map(max, degrees, rhs_degrees))
-        return node, degrees
+        return terms, degrees
 
-    def term(self) -> tuple[Poly, tuple[int, ...]]:
-        node, degrees = self.factor()
+    def term(self) -> tuple[dict, tuple[int, ...]]:
+        terms, degrees = self.factor()
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs, rhs_degrees = self.factor()
-            degrees = _bounded(map(add, degrees, rhs_degrees), pos)
-            node = node * rhs
-        return node, degrees
+            bits = _norm_bits(terms) + _norm_bits(rhs)
+            degrees = _bounded(map(add, degrees, rhs_degrees), bits, pos)
+            terms = self.product(terms, rhs)
+        return terms, degrees
 
-    def factor(self) -> tuple[Poly, tuple[int, ...]]:
-        atom, degrees = self.atom()
+    def factor(self) -> tuple[dict, tuple[int, ...]]:
+        terms, degrees = self.atom()
         if self.peek()[0] == "^":
             pos = self.take()[2]
             tok = self.expect("number")
             e = _int(tok)
             if e > MAX_DEGREE:
                 raise ParseError(f"exponent {e} is too large", tok[2])
-            degrees = _bounded([e * a for a in degrees], pos)
-            atom = atom**e
-        return atom, degrees
+            degrees = _bounded([e * a for a in degrees], e * _norm_bits(terms), pos)
+            terms = self.power(terms, e)
+        return terms, degrees
 
-    def atom(self) -> tuple[Poly, tuple[int, ...]]:
+    def atom(self) -> tuple[dict, tuple[int, ...]]:
         tok = self.take()
         kind, text, pos = tok
         if kind in ("-", "("):
@@ -189,13 +290,13 @@ class _Parser:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
             self.depth += 1
             if kind == "-":
-                node, degrees = self.factor()
-                node = -node
+                terms, degrees = self.factor()
+                terms = self.negate(terms)
             else:
-                node, degrees = self.expr()
+                terms, degrees = self.expr()
                 self.expect(")")
             self.depth -= 1
-            return node, degrees
+            return terms, degrees
         if kind == "number":
             num = _int(tok)
             den = 1
@@ -212,15 +313,12 @@ class _Parser:
                 raise DivisionByZeroLiteral(
                     f"denominator {den} is zero in {self.field}", pos
                 ) from None
-            return Poly.constant(self.domain, self.main, ground), self.constant
+            terms = {} if ground.is_zero else {self.constant: ground.value}
+            return terms, self.constant
         if kind == "ident":
             if text not in self.units:
                 raise UnknownVariable(f"unknown variable {text!r}", pos)
-            if text == self.main:
-                node = Poly.gen(self.domain, self.main)
-            else:
-                node = Poly.constant(self.domain, self.main, self.domain.generator(text))
-            return node, self.units[text]
+            return {self.units[text]: self.one}, self.units[text]
         shown = text if kind != "end" else "end of input"
         raise ParseError(f"unexpected {shown!r}", pos)
 

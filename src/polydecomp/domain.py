@@ -126,9 +126,9 @@ class Domain:
     metadata.  ``element`` passes elements of this domain through,
     hands elements of other domains to _lift (an error except in
     towers), rejects floats and canonicalizes anything else with
-    _canonical.  The _add, _sub, _mul, _neg and _is_zero hooks default
-    to the values' own operators; PrimeField overrides the first four to
-    reduce mod p.  Subclasses are dataclasses, so domains compare
+    _canonical.  The _add, _sub, _mul, _neg, _pow and _is_zero hooks
+    default to the values' own operators; PrimeField overrides the first
+    five to reduce mod p.  Subclasses are dataclasses, so domains compare
     structurally; equal domains are fully interchangeable.
     """
 
@@ -181,6 +181,9 @@ class Domain:
 
     def _neg(self, a):
         return -a
+
+    def _pow(self, a, e: int):
+        return a**e
 
     def _is_zero(self, a) -> bool:
         return a == 0
@@ -258,6 +261,9 @@ class PrimeField(Domain):
 
     def _neg(self, a):
         return -a % self.p
+
+    def _pow(self, a, e: int):
+        return pow(a, e, self.p)
 
     def _invert(self, a):
         if a == 0:

@@ -71,3 +71,7 @@ class DivisionByZeroLiteral(ParseError):
 
 class DegreeTooLarge(ParseError):
     """A product or power in the input would exceed the degree bound."""
+
+
+class ConstantTooLarge(ParseError):
+    """A product or power in the input would pass the coefficient size bound."""

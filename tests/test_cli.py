@@ -25,6 +25,7 @@ from polydecomp.cli import (
 )
 from polydecomp.decomp import ConditionReport
 from polydecomp.errors import (
+    ConstantTooLarge,
     DegreeTooLarge,
     DivisionByZeroLiteral,
     ParseError,
@@ -132,10 +133,33 @@ def test_parse_degree_is_bounded():
         ("(y^10000)^10000", xy, 9),
         ("x^10000*x", ["x"], 7),
         ("(x*y^5000)*(y^5001+x)", xy, 10),
+        # degrees as written: neither cancellation nor a zero factor is seen
+        ("(x^6000-x^6000)*x^6000", ["x"], 15),
+        ("0*x^6000*x^6000", ["x"], 8),
     ]:
         with pytest.raises(DegreeTooLarge) as info:
             parse_poly(text, QQ, variables)
         assert info.value.position == position, text
+
+
+def test_parse_coefficient_size_is_bounded():
+    # 10^5000 has 16610 bits, its square 33220: parsed, and too long to print
+    assert parse_poly("(x+10^5000)^2", QQ, ["x"]).coeff(0).value == 10**10000
+    assert parse_poly("(2^10000)^100", QQ, ["x"]).coeff(0).value == 2**1000000
+    # bounded from the operands, before the product or power is formed
+    for text, position in [
+        ("x^2+((2^10000)^10000)^10000", 14),
+        ("(2^10000)^105", 9),
+        ("(2^10000)^100*(2^10000)^100", 13),
+        ("(x + 1/3^10000)^70", 15),
+        # the terms' common denominator counts, not the largest one
+        ("(1/3^5000*x + 1/2^8000)^70", 23),
+    ]:
+        with pytest.raises(ConstantTooLarge) as info:
+            parse_poly(text, QQ, ["x"])
+        assert info.value.position == position, text
+    # residues stay small, so GF(p) never reaches the bound
+    assert parse_poly("(2^10000)^10000", PrimeField(7), ["x"]).coeff(0).value == 2
 
 
 def test_parse_unknown_variable():
@@ -412,6 +436,19 @@ def test_cli_gf_field(capsys):
     assert out == "Q = x^2 + x\n"
 
 
+def test_cli_sparse_inputs(capsys):
+    # the root's recurrence skips zero coefficients, so these take well
+    # under a second although m is in the thousands
+    assert run_cli(capsys, "root", "x^10000", "--d", "2") == (0, "Q = x^5000\n", "")
+    assert run_cli(capsys, "decompose", "x^10000", "--d", "2") == (
+        0, "h = t^2\nQ = x^5000\nR = 0\n", ""
+    )
+    assert run_cli(capsys, "check", "x^10000", "--d", "2") == (
+        0, "decomposable: yes\nh = t^2\nQ = x^5000\n", ""
+    )
+    assert run_cli(capsys, "root", "x^9999+x", "--d", "3") == (0, "Q = x^3333\n", "")
+
+
 def test_cli_error_paths(capsys):
     cases = [
         (["root", "x^6+1", "--d", "4"], "DegreeNotDivisible"),
@@ -426,6 +463,7 @@ def test_cli_error_paths(capsys):
         (["root", "x²+1", "--d", "2"], "ParseError"),
         (["root", "(x^10000)^10000", "--d", "2"], "DegreeTooLarge"),
         (["root", "(y^10000)^10000", "--d", "2", "--vars", "x,y"], "DegreeTooLarge"),
+        (["root", "x^2+((2^10000)^10000)^10000", "--d", "2"], "ConstantTooLarge"),
         (["root", "(x+10^5000)^2", "--d", "2"], "CoefficientTooLarge"),
         (["root", "(x+10^5000)^2", "--d", "2", "--json"], "CoefficientTooLarge"),
         (["decompose", "(x+10^5000)^2", "--d", "2"], "CoefficientTooLarge"),

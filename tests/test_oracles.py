@@ -1,6 +1,6 @@
 """approx_root and decompose against the straightforward oracles in
-support.py and against SymPy, and the polynomial-level work they are
-allowed to do."""
+support.py and against SymPy, the polynomial-level work they are
+allowed to do, and the parser against dense Poly evaluation."""
 
 import random
 from fractions import Fraction
@@ -18,6 +18,7 @@ from polydecomp import (
     is_decomposable_uni,
     polynomial_tower,
 )
+from polydecomp.cli import parse_poly
 from support import approx_root_by_powers, decompose_by_peeling
 
 QQ = Rationals()
@@ -127,3 +128,85 @@ def test_sympy_chains_are_found_here():
             assert verdict.decomposable, (case, n, outer)
             assert verdict.witness.h.compose(verdict.witness.q) == p
     assert chains >= 10
+
+
+# ------------------------------------------------------------------ parser
+
+# grammar levels, loosest first: a node's text parses as one of these
+_SUM, _TERM, _FACTOR, _ATOM = range(4)
+
+
+def _trees(names):
+    """Expression trees over the grammar: rational literals, variables,
+    sums, differences, products, small powers and unary minus."""
+    leaves = st.one_of(
+        st.tuples(st.just("lit"), st.integers(0, 20), st.integers(1, 6)),
+        st.tuples(st.just("var"), st.sampled_from(names)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), children, children),
+            st.tuples(st.just("^"), children, st.integers(0, 3)),
+            st.tuples(st.just("neg"), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _render(tree) -> tuple[str, int]:
+    """Text for tree with parentheses only where the grammar needs them,
+    and the grammar level the text parses at."""
+
+    def at(child, level):
+        text, own = _render(child)
+        return text if own >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "lit":
+        return (str(tree[1]) if tree[2] == 1 else f"{tree[1]}/{tree[2]}"), _ATOM
+    if kind == "var":
+        return tree[1], _ATOM
+    if kind in "+-":
+        return f"{at(tree[1], _SUM)} {kind} {at(tree[2], _TERM)}", _SUM
+    if kind == "*":
+        return f"{at(tree[1], _TERM)}*{at(tree[2], _FACTOR)}", _TERM
+    if kind == "^":
+        return f"{at(tree[1], _ATOM)}^{tree[2]}", _FACTOR
+    # '-' factor is an atom, but "-x^2" is -(x^2): as a base it needs parentheses
+    return f"-{at(tree[1], _FACTOR)}", _FACTOR
+
+
+def _evaluate(tree, domain, main):
+    """The tree computed with dense Poly arithmetic."""
+    kind = tree[0]
+    if kind == "lit":
+        return Poly.constant(domain, main, Fraction(tree[1], tree[2]))
+    if kind == "var":
+        if tree[1] == main:
+            return Poly.gen(domain, main)
+        return Poly.constant(domain, main, domain.generator(tree[1]))
+    if kind == "neg":
+        return -_evaluate(tree[1], domain, main)
+    if kind == "^":
+        return _evaluate(tree[1], domain, main) ** tree[2]
+    a, b = _evaluate(tree[1], domain, main), _evaluate(tree[2], domain, main)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@st.composite
+def parser_cases(draw):
+    field, names = draw(
+        st.sampled_from([(QQ, ["x"]), (PrimeField(7), ["x", "y"]), (QQ, ["x", "y", "z"])])
+    )
+    main = draw(st.sampled_from(names))
+    return field, names, main, draw(_trees(names))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parser_cases())
+def test_parser_equals_dense_evaluation(case):
+    field, names, main, tree = case
+    text, _ = _render(tree)
+    domain = polynomial_tower(field, [v for v in names if v != main])
+    assert parse_poly(text, field, names, main) == _evaluate(tree, domain, main), text
