@@ -25,6 +25,9 @@ recurrence serves Q, Q[y]... and GF(p) with p <= m.
 
 from __future__ import annotations
 
+from functools import reduce
+
+from .domain import Element
 from .errors import DegreeNotDivisible, InvalidOuterDegree, NotMonic
 from .poly import Poly
 
@@ -44,21 +47,25 @@ def approx_root(p: Poly, d: int) -> Poly:
         raise NotMonic("approximate roots are defined for monic polynomials")
     n = p.degree
     check_outer_degree(n, d, "deg(p)")
-    inv_d = p.domain.invert_integer(d)
+    domain = p.domain
+    add, sub, mul, dot = domain._add, domain._sub, domain._mul, domain._dot
+    inv_d = domain.invert_integer(d).value
     m = n // d
-    zero = p.domain.zero
-    b = [p.domain.one]
+    zero, one = domain.zero.value, domain.one.value
+    b = [one]
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
+    b_nonzero = []  # b_i for those i
     # rows[j - 1][k] = A[j][k] for j = 1 .. d - 1; A[d] is never needed
-    rows = [[p.domain.one] + [zero] * m for _ in range(d - 1)]
+    rows = [[one] + [zero] * m for _ in range(d - 1)]
     for k in range(1, m + 1):
         # rest_1 = 0, and rest_(j+1) is read off row j
-        rests = [zero] + [sum((b[i] * row[k - i] for i in nonzero), zero) for row in rows]
-        b_k = (p.coeff(n - k) - sum(rests, zero)) * inv_d
+        rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
+        b_k = mul(sub(p.coeffs[n - k].value, reduce(add, rests)), inv_d)
         b.append(b_k)
-        if not b_k.is_zero:
+        if not domain._is_zero(b_k):
             nonzero.append(k)
+            b_nonzero.append(b_k)
         below = zero
         for row, rest in zip(rows, rests):
-            row[k] = below = below + b_k + rest
-    return Poly(p.domain, p.variable, reversed(b))
+            row[k] = below = add(add(below, b_k), rest)
+    return Poly(domain, p.variable, [Element(domain, v) for v in reversed(b)])

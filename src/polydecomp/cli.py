@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add
 from typing import Sequence
@@ -113,15 +114,18 @@ def _bounded(degrees, bits: int, pos: int) -> tuple[int, ...]:
     return degrees
 
 
-def _norm_bits(terms: dict) -> int:
+def _norm_bits(terms: dict, field: Domain) -> int:
     """Bits of the largest numerator and of the common denominator L of
     the values, plus log2 of the number of terms: a bound on the bit
     length of L and of the sum of |v*L| over the values v.  So the
     coefficients of a product have numerators and denominators of at
     most the sum of its factors' norm bits, and those of a power at most
-    e times its base's."""
+    e times its base's.  Residues mod p are below p with L = 1, so over
+    GF(p) the bound needs no value."""
     if not terms:
         return 0
+    if isinstance(field, PrimeField):
+        return (field.p - 1).bit_length() + 1 + (len(terms) - 1).bit_length()
     largest = max(abs(v.numerator) for v in terms.values()).bit_length()
     common = lcm(*(v.denominator for v in terms.values())).bit_length()
     return largest + common + (len(terms) - 1).bit_length()
@@ -265,7 +269,7 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs, rhs_degrees = self.factor()
-            bits = _norm_bits(terms) + _norm_bits(rhs)
+            bits = _norm_bits(terms, self.field) + _norm_bits(rhs, self.field)
             degrees = _bounded(map(add, degrees, rhs_degrees), bits, pos)
             terms = self.product(terms, rhs)
         return terms, degrees
@@ -278,7 +282,7 @@ class _Parser:
             e = _int(tok)
             if e > MAX_DEGREE:
                 raise ParseError(f"exponent {e} is too large", tok[2])
-            degrees = _bounded([e * a for a in degrees], e * _norm_bits(terms), pos)
+            degrees = _bounded([e * a for a in degrees], e * _norm_bits(terms, self.field), pos)
             terms = self.power(terms, e)
         return terms, degrees
 
@@ -393,6 +397,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# one parser per process: parse_args keeps no state between calls, and
+# help text reads the terminal width when it is printed, not here
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="polydecomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 from .approot import approx_root
+from .domain import Element
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
 
@@ -46,19 +47,22 @@ def decompose(p: Poly, d: int) -> Decomposition:
     powers = [Poly.constant(domain, var, 1), q]
     for _ in range(d - 1):
         powers.append(powers[-1] * q)
-    e = list((p - powers[d]).coeffs)
+    # the scan runs on raw values; only the terms of h and r are wrapped
+    powers = [[c.value for c in f.coeffs] for f in powers]
+    # p and q^d are both monic of degree n
+    e = list(map(domain._sub, [c.value for c in p.coeffs], powers[d]))
+    is_zero = domain._is_zero
     h = [domain.zero] * d + [domain.one]
     r = [domain.zero] * len(e)
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
-        if c.is_zero:
+        if is_zero(c):
             continue
         if i % m:
-            r[i] = c
+            r[i] = Element(domain, c)
             continue
-        h[i // m] = c
-        for j, a in enumerate(powers[i // m].coeffs):
-            e[j] = e[j] - c * a
+        h[i // m] = Element(domain, c)
+        domain._sub_scaled(e, c, powers[i // m])
     return Decomposition(Poly(domain, OUTER_VARIABLE, h), q, Poly(domain, var, r), d)
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
@@ -130,6 +132,11 @@ class Domain:
     default to the values' own operators; PrimeField overrides the first
     five to reduce mod p.  Subclasses are dataclasses, so domains compare
     structurally; equal domains are fully interchangeable.
+
+    The list kernels _mul_lists, _dot and _sub_scaled work on lists of
+    raw values, which they trust to be canonical values of this domain;
+    the generic versions here are built on the hooks, and the fields
+    override them with loops over plain ints.
     """
 
     is_field = False
@@ -188,6 +195,41 @@ class Domain:
     def _is_zero(self, a) -> bool:
         return a == 0
 
+    def _mul_lists(self, a: list, b: list) -> list:
+        """The product of two nonempty ascending value lists."""
+        add, times, is_zero = self._add, self._mul, self._is_zero
+        out = [self.zero.value] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if is_zero(x):
+                continue
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], times(x, y))
+        return out
+
+    def _dot(self, xs: list, ys: list):
+        """The sum of xs[i] * ys[i]."""
+        add, times = self._add, self._mul
+        total = self.zero.value
+        for x, y in zip(xs, ys):
+            total = add(total, times(x, y))
+        return total
+
+    def _sub_scaled(self, e: list, c, a: list) -> None:
+        """e[j] -= c * a[j] in place, for every j < len(a) <= len(e)."""
+        sub, times = self._sub, self._mul
+        for j, y in enumerate(a):
+            e[j] = sub(e[j], times(c, y))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two nonempty int coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    return out
+
 
 @dataclass(unsafe_hash=True)
 class Rationals(Domain):
@@ -202,6 +244,34 @@ class Rationals(Domain):
         if a == 0:
             raise NotInvertible("0 has no inverse")
         return 1 / a
+
+    def _mul_lists(self, a, b):
+        # each list over one common denominator, so only ints convolve
+        da = lcm(*(x.denominator for x in a))
+        db = lcm(*(y.denominator for y in b))
+        out = _convolve(
+            [x.numerator * (da // x.denominator) for x in a],
+            [y.numerator * (db // y.denominator) for y in b],
+        )
+        den = da * db
+        return [Fraction(c, den) for c in out]
+
+    def _dot(self, xs, ys):
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = lcm(*dens)
+        num = sum([x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens)])
+        return Fraction(num, den)
+
+    def _sub_scaled(self, e, c, a):
+        # one Fraction, so one gcd, per entry
+        cn, cd = c.numerator, c.denominator
+        e[: len(a)] = [
+            Fraction(
+                x.numerator * cd * y.denominator - cn * y.numerator * x.denominator,
+                x.denominator * cd * y.denominator,
+            )
+            for x, y in zip(e, a)
+        ]
 
     def __str__(self):
         return "QQ"
@@ -269,6 +339,18 @@ class PrimeField(Domain):
         if a == 0:
             raise NotInvertible(f"0 is not invertible modulo {self.p}")
         return pow(a, self.p - 2, self.p)
+
+    # delayed reduction: sums of products are plain ints, reduced once
+    def _mul_lists(self, a, b):
+        p = self.p
+        return [c % p for c in _convolve(a, b)]
+
+    def _dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+    def _sub_scaled(self, e, c, a):
+        p = self.p
+        e[: len(a)] = [(x - c * y) % p for x, y in zip(e, a)]
 
     def __str__(self):
         return f"GF({self.p})"

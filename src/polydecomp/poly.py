@@ -10,6 +10,12 @@ A Poly is immutable; every operation returns a new instance.  A Poly
 over ``PolynomialRing(D, v)`` has coefficients that are themselves
 polynomial elements, which is how multivariate polynomials are
 represented, one variable per tower level.
+
+Products run on the domain's list kernels (``Domain._mul_lists``): the
+coefficients' raw values go in and the result is wrapped once.  The
+kernels trust that every coefficient is a canonical element of the
+Poly's own domain, which ``Domain.element`` and ``Poly.from_coeffs``
+guarantee; only the operands' domains and variables are checked.
 """
 
 from __future__ import annotations
@@ -153,20 +159,17 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Element):
             same_domain(self.domain, other.domain)
-            return Poly(self.domain, self.variable, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
+            factor = [other.value]
+        elif isinstance(other, Poly):
+            self._check(other)
+            factor = [c.value for c in other.coeffs]
+        else:
             return NotImplemented
-        self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly(self.domain, self.variable, ())
-        zero = self.domain.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.domain, self.variable, out)
+        domain = self.domain
+        if not self.coeffs or not factor:
+            return Poly(domain, self.variable, ())
+        product = domain._mul_lists([c.value for c in self.coeffs], factor)
+        return Poly(domain, self.variable, [Element(domain, v) for v in product])
 
     def __rmul__(self, other):
         if isinstance(other, Element):
@@ -238,6 +241,8 @@ def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> st
                 sign, g = "-", -g
             text, unit = str(g), g.value == 1
         else:
+            while c.value.degree == 0:  # constant at its own level
+                c = c.value.coeffs[0]
             text, unit = f"({c.value})", False
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
         if not names:

@@ -97,6 +97,24 @@ def power_by_repeated_mul(f: Poly, e: int) -> Poly:
     return out
 
 
+def schoolbook_product(f: Poly, g: Poly) -> Poly:
+    """Oracle for the list kernels behind Poly.__mul__: every product
+    and sum of coefficients taken Element by Element."""
+    out = [f.domain.zero] * (len(f.coeffs) + len(g.coeffs))
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(f.domain, f.variable, out)
+
+
+def schoolbook_compose(f: Poly, g: Poly) -> Poly:
+    """Oracle for Poly.compose: Horner's rule on schoolbook products."""
+    out = Poly.zero(f.domain, g.variable)
+    for c in reversed(f.coeffs):
+        out = schoolbook_product(out, g) + Poly(f.domain, g.variable, (c,))
+    return out
+
+
 def evaluate(p: Poly, point: Element) -> Element:
     """Value of p at a point of its coefficient domain (Horner)."""
     acc = p.domain.zero

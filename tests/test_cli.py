@@ -18,6 +18,7 @@ from polydecomp.cli import (
     MAX_DEPTH,
     MAX_VARIETY_N,
     UsageError,
+    build_parser,
     element_to_text,
     main,
     parse_poly,
@@ -399,6 +400,14 @@ def test_cli_check_main_var_selection(capsys):
     )
     assert code == 2
     assert out.splitlines()[0] == "decomposable: no"
+    # the coefficient of y is 2*x + 1 in QQ[x][z], constant in z: one
+    # pair of parentheses
+    code, out, _ = run_cli(
+        capsys, "check", "(x+y)^4 + 2*y*(x+y)^2 - z", "--d", "2",
+        "--vars", "x,y,z", "--main-var", "y",
+    )
+    assert code == 2
+    assert out == "decomposable: no\nR = (2*x + 1)*y\n"
 
 
 def test_cli_variety_text(capsys):
@@ -508,6 +517,21 @@ def test_readme_error_table_lists_every_code():
 def test_cli_is_deterministic(capsys):
     argv = ["decompose", "x^6+6*x^5+6*x+1", "--d", "2", "--json"]
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+def test_cli_calls_share_no_state(capsys):
+    """The argparse parser is built once per process: a valid call, a
+    failing one and the valid one again print what they print with a
+    fresh parser each."""
+    valid = ["check", "x^4+2*x^2+1", "--d", "2", "--json"]
+    bad = ["check", "x^4+2*x^2+1", "--d", "two"]
+    fresh = []
+    for argv in (valid, bad, valid):
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [run_cli(capsys, *argv) for argv in (valid, bad, valid)] == fresh
+    assert fresh[0][0] == 0 and json.loads(fresh[0][1])["decomposable"] is True
+    assert fresh[1] == (1, "", "error: UsageError: argument --d: invalid int value: 'two'\n")
 
 
 def test_installed_script_entry_point():

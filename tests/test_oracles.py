@@ -1,6 +1,9 @@
 """approx_root and decompose against the straightforward oracles in
 support.py and against SymPy, the polynomial-level work they are
-allowed to do, and the parser against dense Poly evaluation."""
+allowed to do, Poly products against the schoolbook product, and the
+parser against dense Poly evaluation.  Every Hypothesis test is
+derandomized, so tier-1 draws the same cases, in the same time, on
+every run."""
 
 import random
 from fractions import Fraction
@@ -19,7 +22,12 @@ from polydecomp import (
     polynomial_tower,
 )
 from polydecomp.cli import parse_poly
-from support import approx_root_by_powers, decompose_by_peeling
+from support import (
+    approx_root_by_powers,
+    decompose_by_peeling,
+    schoolbook_compose,
+    schoolbook_product,
+)
 
 QQ = Rationals()
 QQY = polynomial_tower(QQ, ["y"])
@@ -57,19 +65,69 @@ def monic_inputs(draw):
     return monic(d * m, "x"), d
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(monic_inputs())
 def test_approx_root_equals_oracle(case):
     p, d = case
     assert approx_root(p, d) == approx_root_by_powers(p, d)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(monic_inputs())
 def test_decompose_equals_oracle(case):
     p, d = case
     fast, slow = decompose(p, d), decompose_by_peeling(p, d)
     assert (fast.h, fast.q, fast.r, fast.d) == (slow.h, slow.q, slow.r, slow.d)
+
+
+# ------------------------------------------------------------ list kernels
+
+MERSENNE_31 = PrimeField(2**31 - 1)  # the largest prime PrimeField accepts
+
+
+def kernel_cases(domain):
+    """(f, g, h) over domain, with zeros inside the coefficient lists;
+    over GF(2^31 - 1) f and g run to 200 coefficients, so the delayed
+    sums of products pass 2^62 many times over."""
+    if domain == QQ:  # mixed denominators
+        values = st.fractions(-10**6, 10**6, max_denominator=10**4).map(domain.element)
+    else:
+        values = _elements(domain)
+    elements = st.one_of(st.just(domain.zero), values)
+    size = 200 if domain == MERSENNE_31 else 12
+
+    def poly(variable, max_size):
+        return st.integers(0, max_size).flatmap(
+            lambda n: st.lists(elements, min_size=n, max_size=n)
+        ).map(lambda cs: Poly(domain, variable, cs))
+
+    return st.tuples(poly("x", size), poly("x", size), poly("t", 4))
+
+
+@pytest.mark.parametrize(
+    "domain", [QQ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY], ids=str
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernels_equal_schoolbook(domain, data):
+    f, g, h = data.draw(kernel_cases(domain))
+    assert f * g == schoolbook_product(f, g)
+    assert h.compose(g) == schoolbook_compose(h, g)
+    if not f.coeffs:
+        return
+    scalar = f.coeffs[-1]
+    assert g * scalar == schoolbook_product(g, Poly(domain, "x", (scalar,)))
+    # the two kernels of the root table and the decompose scan
+    n = min(len(f.coeffs), len(g.coeffs))
+    fs, gs = f.coeffs[:n], g.coeffs[:n]
+    expected = domain.zero
+    for a, b in zip(fs, gs):
+        expected = expected + a * b
+    assert domain._dot([a.value for a in fs], [b.value for b in gs]) == expected.value
+    e = [c.value for c in f.coeffs]
+    domain._sub_scaled(e, scalar.value, [b.value for b in gs])
+    expected = [a - scalar * b for a, b in zip(f.coeffs, gs)] + list(f.coeffs[n:])
+    assert e == [c.value for c in expected]
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
@@ -203,7 +261,7 @@ def parser_cases(draw):
     return field, names, main, draw(_trees(names))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(parser_cases())
 def test_parser_equals_dense_evaluation(case):
     field, names, main, tree = case

@@ -264,4 +264,5 @@ def test_str_round_figures():
     gf = polynomial_tower(PrimeField(7), ["u", "v"])
     u, v = gf.generator("u"), gf.generator("v")
     r = Poly(gf, "x", (gf.element(-1), -u, v * u + gf.element(2)))
-    assert str(r) == "((u)*v + 2)*x^2 + ((6*u))*x + 6"
+    # 6*u is constant in v: parenthesized once, at the level where u occurs
+    assert str(r) == "((u)*v + 2)*x^2 + (6*u)*x + 6"
