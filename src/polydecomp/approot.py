@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .domain import Element
 from .errors import DegreeNotDivisible, InvalidOuterDegree, NotMonic
 from .poly import Poly
 
@@ -60,7 +59,7 @@ def approx_root(p: Poly, d: int) -> Poly:
     for k in range(1, m + 1):
         # rest_1 = 0, and rest_(j+1) is read off row j
         rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
-        b_k = mul(sub(p.coeffs[n - k].value, reduce(add, rests)), inv_d)
+        b_k = mul(sub(p.values[n - k], reduce(add, rests)), inv_d)
         b.append(b_k)
         if not domain._is_zero(b_k):
             nonzero.append(k)
@@ -68,4 +67,4 @@ def approx_root(p: Poly, d: int) -> Poly:
         below = zero
         for row, rest in zip(rows, rests):
             row[k] = below = add(add(below, b_k), rest)
-    return Poly(domain, p.variable, [Element(domain, v) for v in reversed(b)])
+    return Poly._of(domain, p.variable, b[::-1])

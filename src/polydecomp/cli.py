@@ -146,16 +146,13 @@ def _dense(terms: dict, domain: Domain, variable: str) -> Poly:
         groups: dict = {}
         for key, value in terms.items():
             groups.setdefault(key[0], {})[key[1:]] = value
-        coeffs = {
-            e: Element(domain, _dense(sub, domain.base, domain.variable))
-            for e, sub in groups.items()
-        }
+        coeffs = {e: _dense(sub, domain.base, domain.variable) for e, sub in groups.items()}
     else:
-        coeffs = {key[0]: Element(domain, value) for key, value in terms.items()}
-    dense = [domain.zero] * (max(coeffs, default=-1) + 1)
+        coeffs = {key[0]: value for key, value in terms.items()}
+    dense = [domain.zero.value] * (max(coeffs, default=-1) + 1)
     for e, c in coeffs.items():
         dense[e] = c
-    return Poly(domain, variable, dense)
+    return Poly._of(domain, variable, dense)
 
 
 class _Parser:

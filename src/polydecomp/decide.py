@@ -164,7 +164,7 @@ def brute_force_decompose(p: Poly, d: int, limit: int = 10**6) -> Decomposabilit
     pairs = prime ** (m + d)
     if pairs > limit:
         raise EnumerationTooLarge(f"{prime}**{m + d} candidate pairs exceed the bound {limit}")
-    target = [c.value for c in p.coeffs]
+    target = list(p.values)
     for q_tail in itertools.product(range(prime), repeat=m):
         q_ints = list(q_tail) + [1]
         powers = [[1]]
@@ -182,8 +182,8 @@ def brute_force_decompose(p: Poly, d: int, limit: int = 10**6) -> Decomposabilit
                     for idx, v in enumerate(powers[j]):
                         candidate[idx] = (candidate[idx] + hc * v) % prime
             if candidate == target:
-                h = Poly.from_coeffs(domain, OUTER_VARIABLE, h_tail + (1,))
-                q = Poly.from_coeffs(domain, p.variable, q_ints)
+                h = Poly._of(domain, OUTER_VARIABLE, h_tail + (1,))
+                q = Poly._of(domain, p.variable, q_ints)
                 zero_r = Poly.zero(domain, p.variable)
                 return DecomposabilityVerdict(True, Witness(h, q), zero_r, None)
     return DecomposabilityVerdict(False, None, None, None)

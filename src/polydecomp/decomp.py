@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 from .approot import approx_root
-from .domain import Element
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
 
@@ -47,23 +46,23 @@ def decompose(p: Poly, d: int) -> Decomposition:
     powers = [Poly.constant(domain, var, 1), q]
     for _ in range(d - 1):
         powers.append(powers[-1] * q)
-    # the scan runs on raw values; only the terms of h and r are wrapped
-    powers = [[c.value for c in f.coeffs] for f in powers]
+    powers = [f.values for f in powers]
     # p and q^d are both monic of degree n
-    e = list(map(domain._sub, [c.value for c in p.coeffs], powers[d]))
+    e = list(map(domain._sub, p.values, powers[d]))
     is_zero = domain._is_zero
-    h = [domain.zero] * d + [domain.one]
-    r = [domain.zero] * len(e)
+    zero = domain.zero.value
+    h = [zero] * d + [domain.one.value]
+    r = [zero] * len(e)
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
         if is_zero(c):
             continue
         if i % m:
-            r[i] = Element(domain, c)
+            r[i] = c
             continue
-        h[i // m] = Element(domain, c)
+        h[i // m] = c
         domain._sub_scaled(e, c, powers[i // m])
-    return Decomposition(Poly(domain, OUTER_VARIABLE, h), q, Poly(domain, var, r), d)
+    return Decomposition(Poly._of(domain, OUTER_VARIABLE, h), q, Poly._of(domain, var, r), d)
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,10 @@ def verify(p: Poly, dec: Decomposition) -> ConditionReport:
     """
     h, q, r = dec.h, dec.q, dec.r
     monic = h.is_monic and q.is_monic
-    if p.coeffs and q.coeffs and q.degree >= 1:
+    if p.values and q.values and q.degree >= 1:
         m = q.degree
         degree_bound = h.degree == dec.d and h.coeff(dec.d - 1).is_zero and r.degree < p.degree - m
-        index_condition = all(i % m for i, c in enumerate(r.coeffs) if not c.is_zero)
+        index_condition = all(i % m for i, c in enumerate(r.values) if not r.domain._is_zero(c))
     else:
         degree_bound = False
         index_condition = False

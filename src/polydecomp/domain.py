@@ -34,7 +34,8 @@ VARIABLE_NAME = re.compile("[A-Za-z][A-Za-z0-9]*")
 
 
 class Element:
-    """A domain value tagged with the domain it lives in.
+    """A domain value tagged with the domain it lives in: the public view
+    of a coefficient, which a Poly stores as the bare value.
 
     Arithmetic is defined between elements of equal domains only; mixing
     domains raises DomainMismatch.  Instances are immutable by
@@ -86,23 +87,25 @@ class Element:
     def is_zero(self) -> bool:
         return self.domain._is_zero(self.value)
 
+    def _ground(self) -> "Element | None":
+        """The ground constant under the element; None if a level has a variable."""
+        el = self
+        while isinstance(el.domain, PolynomialRing):
+            if el.value.degree > 0:
+                return None
+            el = el.value.coeff(0)
+        return el
+
     @property
     def is_ground(self) -> bool:
         """True when the element is a constant through every tower level."""
-        el = self
-        while isinstance(el.domain, PolynomialRing):
-            if el.value.degree > 0:
-                return False
-            el = el.value.coeff(0)
-        return True
+        return self._ground() is not None
 
     def ground_value(self) -> "Element":
         """The underlying ground constant; requires ``is_ground``."""
-        el = self
-        while isinstance(el.domain, PolynomialRing):
-            if el.value.degree > 0:
-                raise ValueError("element is not a ground constant")
-            el = el.value.coeff(0)
+        el = self._ground()
+        if el is None:
+            raise ValueError("element is not a ground constant")
         return el
 
     def inverse(self) -> "Element":
@@ -133,9 +136,10 @@ class Domain:
     five to reduce mod p.  Subclasses are dataclasses, so domains compare
     structurally; equal domains are fully interchangeable.
 
-    The list kernels _mul_lists, _dot and _sub_scaled work on lists of
-    raw values, which they trust to be canonical values of this domain;
-    the generic versions here are built on the hooks, and the fields
+    A Poly stores raw values and computes with these hooks.  The list
+    kernels _mul_lists, _dot and _sub_scaled work on sequences of raw
+    values, which they trust to be canonical values of this domain; the
+    generic versions here are built on the hooks, and the fields
     override them with loops over plain ints.
     """
 
@@ -400,8 +404,7 @@ class PolynomialRing(Domain):
         from .poly import Poly
 
         if name is None or name == self.variable:
-            x = Poly(self.base, self.variable, (self.base.zero, self.base.one))
-            return Element(self, x)
+            return Element(self, Poly.gen(self.base, self.variable))
         if isinstance(self.base, PolynomialRing):
             return self.element(self.base.generator(name))
         raise ValueError(f"no variable {name!r} in this tower")
@@ -412,7 +415,7 @@ class PolynomialRing(Domain):
         # units of A[y] are the units of A
         if a.degree != 0:
             raise NotInvertible("only nonzero constants are invertible here")
-        return Poly.constant(self.base, self.variable, a.coeff(0).inverse())
+        return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
 
     def _is_zero(self, a) -> bool:
         return a.is_zero

@@ -1,21 +1,25 @@
 """Dense univariate polynomials over a coefficient domain.
 
-Coefficients are stored ascending: ``coeffs[i]`` is the coefficient of
-``variable**i``.  The tuple never ends in a zero, so the zero polynomial
-is the empty tuple and otherwise ``degree == len(coeffs) - 1``.  The
-degree of the zero polynomial is the sentinel ``NEG_INF``, which
-compares below every integer.
+A Poly stores each coefficient once, in the tuple ``values``, as the raw
+canonical value of its domain: a Fraction, a residue int, or a Poly one
+tower level down.  ``values[i]`` belongs to ``variable**i`` and the
+tuple never ends in a zero, so the zero polynomial is the empty tuple
+and otherwise ``degree == len(values) - 1``.  The degree of the zero
+polynomial is the sentinel ``NEG_INF``, which compares below every
+integer.  ``coeffs``, ``coeff`` and ``leading_coefficient`` are the
+public view: they wrap values into Elements on read.
 
 A Poly is immutable; every operation returns a new instance.  A Poly
 over ``PolynomialRing(D, v)`` has coefficients that are themselves
-polynomial elements, which is how multivariate polynomials are
-represented, one variable per tower level.
+polynomials, which is how multivariate polynomials are represented, one
+variable per tower level.
 
-Products run on the domain's list kernels (``Domain._mul_lists``): the
-coefficients' raw values go in and the result is wrapped once.  The
-kernels trust that every coefficient is a canonical element of the
-Poly's own domain, which ``Domain.element`` and ``Poly.from_coeffs``
-guarantee; only the operands' domains and variables are checked.
+``Poly(domain, variable, coeffs)`` coerces every coefficient with
+``domain.element``, so a stored value is always canonical for the
+domain.  Arithmetic runs on the values through the domain's hooks and
+list kernels (``Domain._add``, ``Domain._mul_lists``) and builds its
+result with the trusted ``Poly._of``; only the operands' domains and
+variables are checked.
 """
 
 from __future__ import annotations
@@ -57,68 +61,73 @@ def same_domain(a: Domain, b: Domain) -> None:
 class Poly:
     """A polynomial in one variable with coefficients in a Domain."""
 
-    __slots__ = ("domain", "variable", "coeffs")
+    __slots__ = ("domain", "variable", "values")
 
-    def __init__(self, domain: Domain, variable: str, coeffs: Iterable[Element] = ()):
-        cs = tuple(coeffs)
-        n = len(cs)
-        while n and cs[n - 1].is_zero:
+    def __init__(self, domain: Domain, variable: str, coeffs: Iterable = ()):
+        element = domain.element
+        self._set(domain, variable, [element(c).value for c in coeffs])
+
+    def _set(self, domain: Domain, variable: str, values) -> None:
+        n = len(values)
+        while n and domain._is_zero(values[n - 1]):
             n -= 1
-        self.domain = domain
-        self.variable = variable
-        self.coeffs = cs[:n]
+        self.domain, self.variable, self.values = domain, variable, tuple(values[:n])
+
+    @classmethod
+    def _of(cls, domain: Domain, variable: str, values) -> "Poly":
+        """The Poly with the given ascending values, which must already be
+        canonical values of ``domain``; only trailing zeros are dropped."""
+        p = cls.__new__(cls)
+        p._set(domain, variable, values)
+        return p
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, domain: Domain, variable: str) -> "Poly":
-        return cls(domain, variable, ())
+        return cls._of(domain, variable, ())
 
     @classmethod
     def constant(cls, domain: Domain, variable: str, value) -> "Poly":
-        return cls(domain, variable, (domain.element(value),))
+        return cls(domain, variable, (value,))
 
     @classmethod
     def gen(cls, domain: Domain, variable: str) -> "Poly":
         """The polynomial ``variable`` itself."""
-        return cls(domain, variable, (domain.zero, domain.one))
-
-    @classmethod
-    def monomial(cls, domain: Domain, variable: str, coeff, exponent: int) -> "Poly":
-        c = domain.element(coeff)
-        return cls(domain, variable, (domain.zero,) * exponent + (c,))
-
-    @classmethod
-    def from_coeffs(cls, domain: Domain, variable: str, values: Iterable) -> "Poly":
-        """Build from ascending coefficient values, coercing each one."""
-        return cls(domain, variable, tuple(domain.element(v) for v in values))
+        return cls._of(domain, variable, (domain.zero.value, domain.one.value))
 
     # ------------------------------------------------------------------
     # structure
 
     @property
+    def coeffs(self) -> tuple[Element, ...]:
+        """The public view: every value wrapped as an Element, ascending."""
+        domain = self.domain
+        return tuple([Element(domain, v) for v in self.values])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.values) - 1 if self.values else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.values
 
     @property
     def leading_coefficient(self) -> Element:
-        if not self.coeffs:
+        if not self.values:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Element(self.domain, self.values[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.domain.one
+        return bool(self.values) and self.values[-1] == self.domain.one.value
 
     def coeff(self, i: int) -> Element:
         """Coefficient of variable**i, zero beyond the degree."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.values):
+            return Element(self.domain, self.values[i])
         return self.domain.zero
 
     # ------------------------------------------------------------------
@@ -133,43 +142,35 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.values, other.values
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.domain, self.variable, out)
+        return Poly._of(self.domain, self.variable, [*map(self.domain._add, a, b), *a[len(b) :]])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        zero = self.domain.zero
-        out = [zero] * max(len(self.coeffs), len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Poly(self.domain, self.variable, out)
+        domain, a, b = self.domain, self.values, other.values
+        tail = a[len(b) :] if len(a) >= len(b) else map(domain._neg, b[len(a) :])
+        return Poly._of(domain, self.variable, [*map(domain._sub, a, b), *tail])
 
     def __neg__(self):
-        return Poly(self.domain, self.variable, tuple(-c for c in self.coeffs))
+        return Poly._of(self.domain, self.variable, list(map(self.domain._neg, self.values)))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             same_domain(self.domain, other.domain)
-            factor = [other.value]
+            factor = (other.value,)
         elif isinstance(other, Poly):
             self._check(other)
-            factor = [c.value for c in other.coeffs]
+            factor = other.values
         else:
             return NotImplemented
         domain = self.domain
-        if not self.coeffs or not factor:
-            return Poly(domain, self.variable, ())
-        product = domain._mul_lists([c.value for c in self.coeffs], factor)
-        return Poly(domain, self.variable, [Element(domain, v) for v in product])
+        if not self.values or not factor:
+            return Poly._of(domain, self.variable, ())
+        return Poly._of(domain, self.variable, domain._mul_lists(self.values, factor))
 
     def __rmul__(self, other):
         if isinstance(other, Element):
@@ -193,8 +194,8 @@ class Poly:
         """Substitute ``inner`` for this polynomial's variable (Horner)."""
         same_domain(self.domain, inner.domain)
         out = Poly.zero(self.domain, inner.variable)
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly.constant(self.domain, inner.variable, c)
+        for c in reversed(self.values):
+            out = out * inner + Poly._of(self.domain, inner.variable, (c,))
         return out
 
     # ------------------------------------------------------------------
@@ -205,12 +206,12 @@ class Poly:
             return NotImplemented
         return (
             self.variable == other.variable
-            and self.coeffs == other.coeffs
+            and self.values == other.values
             and (self.domain is other.domain or self.domain == other.domain)
         )
 
     def __hash__(self):
-        return hash((self.variable, self.coeffs))
+        return hash((self.variable, self.values))
 
     def __str__(self):
         v = self.variable
@@ -242,7 +243,7 @@ def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> st
             text, unit = str(g), g.value == 1
         else:
             while c.value.degree == 0:  # constant at its own level
-                c = c.value.coeffs[0]
+                c = c.value.coeff(0)
             text, unit = f"({c.value})", False
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
         if not names:

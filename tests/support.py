@@ -80,13 +80,18 @@ def assert_canonical_element(el: Element) -> None:
 
 
 def assert_canonical_poly(p: Poly) -> None:
-    """Audit a polynomial: tuple storage, no leading zero, coeffs canonical."""
-    assert isinstance(p.coeffs, tuple)
-    if p.coeffs:
-        assert not p.coeffs[-1].is_zero
-    for c in p.coeffs:
-        assert c.domain == p.domain
-        assert_canonical_element(c)
+    """Audit what a polynomial stores: a tuple of values with no trailing
+    zero, each one canonical for the polynomial's domain."""
+    assert isinstance(p.values, tuple)
+    if p.values:
+        assert not p.domain._is_zero(p.values[-1])
+    for v in p.values:
+        assert_canonical_element(Element(p.domain, v))
+
+
+def monomial(domain: Domain, variable: str, coeff, e: int) -> Poly:
+    """coeff * variable**e, with coeff coerced into the domain."""
+    return Poly(domain, variable, [0] * e + [coeff])
 
 
 def power_by_repeated_mul(f: Poly, e: int) -> Poly:
@@ -172,11 +177,11 @@ def approx_root_by_powers(p: Poly, d: int) -> Poly:
     check_outer_degree(n, d, "deg(p)")
     inv_d = p.domain.invert_integer(d)
     m = n // d
-    q = Poly.monomial(p.domain, p.variable, 1, m)
+    q = monomial(p.domain, p.variable, 1, m)
     for k in range(1, m + 1):
         b = (p.coeff(n - k) - (q**d).coeff(n - k)) * inv_d
         if not b.is_zero:
-            q = q + Poly.monomial(p.domain, p.variable, b, m - k)
+            q = q + monomial(p.domain, p.variable, b, m - k)
     return q
 
 
@@ -186,7 +191,7 @@ def decompose_by_peeling(p: Poly, d: int) -> Decomposition:
     q = approx_root_by_powers(p, d)
     domain, var = p.domain, p.variable
     m = q.degree
-    h = Poly.monomial(domain, OUTER_VARIABLE, 1, d)
+    h = monomial(domain, OUTER_VARIABLE, 1, d)
     r = Poly.zero(domain, var)
     while True:
         e = p - h.compose(q) - r
@@ -195,6 +200,6 @@ def decompose_by_peeling(p: Poly, d: int) -> Decomposition:
         i = e.degree
         c = e.coeff(i)
         if i % m == 0:
-            h = h + Poly.monomial(domain, OUTER_VARIABLE, c, i // m)
+            h = h + monomial(domain, OUTER_VARIABLE, c, i // m)
         else:
-            r = r + Poly.monomial(domain, var, c, i)
+            r = r + monomial(domain, var, c, i)

@@ -33,7 +33,7 @@ from polydecomp import (
     verify,
 )
 from polydecomp.cli import main as cli_main
-from support import lift, rand_int_poly, rand_poly, specialize
+from support import lift, monomial, rand_int_poly, rand_poly, specialize
 
 QQ = Rationals()
 
@@ -50,7 +50,7 @@ def criterion(number: int, description: str):
 
 def monic_polys(field: PrimeField, degree: int):
     for tail in itertools.product(range(field.p), repeat=degree):
-        yield Poly.from_coeffs(field, "x", list(tail) + [1])
+        yield Poly(field, "x", list(tail) + [1])
 
 
 def run_cli(argv):
@@ -62,7 +62,7 @@ def run_cli(argv):
 
 def test_criterion_1_golden_sextic_splittings():
     with criterion(1, "the degree-6 example splits exactly for d = 6, 3, 2"):
-        p = Poly.from_coeffs(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
+        p = Poly(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
         expected = {
             6: (["-10", "30", "-45", "40", "-15", "0", "1"], ["1", "1"], []),
             3: (["65", "0", "0", "1"], ["-4", "2", "1"], ["0", "-90", "0", "40"]),
@@ -74,9 +74,9 @@ def test_criterion_1_golden_sextic_splittings():
         }
         for d, (hs, qs, rs) in expected.items():
             dec = decompose(p, d)
-            assert dec.h == Poly.from_coeffs(QQ, "t", [Fraction(s) for s in hs])
-            assert dec.q == Poly.from_coeffs(QQ, "x", [Fraction(s) for s in qs])
-            assert dec.r == Poly.from_coeffs(QQ, "x", [Fraction(s) for s in rs])
+            assert dec.h == Poly(QQ, "t", [Fraction(s) for s in hs])
+            assert dec.q == Poly(QQ, "x", [Fraction(s) for s in qs])
+            assert dec.r == Poly(QQ, "x", [Fraction(s) for s in rs])
 
 
 def test_criterion_2_sextic_variety_equations():
@@ -115,7 +115,7 @@ def test_criterion_3_reconstruction_property_suite():
                 coeffs = [
                     Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(n)
                 ] + [1]
-                p = Poly.from_coeffs(QQ, "x", coeffs)
+                p = Poly(QQ, "x", coeffs)
                 for d in divisors:
                     m = n // d
                     dec = decompose(p, d)
@@ -178,12 +178,12 @@ def test_criterion_6_perfect_power_round_trip():
 def test_criterion_7_error_taxonomy_and_exit_codes():
     with criterion(7, "documented typed errors in the library and stable codes from the CLI"):
         f2 = PrimeField(2)
-        p2 = Poly.from_coeffs(f2, "x", [0, 0, 1, 0, 1])  # x^4 + x^2
+        p2 = Poly(f2, "x", [0, 0, 1, 0, 1])  # x^4 + x^2
         with pytest.raises(NotInvertible):
             approx_root(p2, 2)
         with pytest.raises(NotInvertible):
             is_decomposable_uni(p2, 2)
-        p6 = Poly.from_coeffs(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
+        p6 = Poly(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
         with pytest.raises(DegreeNotDivisible):
             decompose(p6, 4)
         with pytest.raises(InvalidOuterDegree):
@@ -228,13 +228,13 @@ def test_criterion_8_multivariate_decomposability():
             # terms below x^(n - m), so the perturbation lands in r verbatim
             # and the answer flips
             j = rng.choice([j for j in range(1, n - m) if j % m])
-            perturbed = p + Poly.monomial(tower, "x", y, j)
+            perturbed = p + monomial(tower, "x", y, j)
             flipped = is_decomposable_multi(perturbed, d)
             assert not flipped.decomposable
             assert not flipped.residual.is_zero
         # x^2 + y: zero remainder, but the outer part needs the constant
         # term y, which is not a constant of the ground field
-        obstruction = Poly.from_coeffs(tower, "x", [y, tower.zero, tower.one])
+        obstruction = Poly(tower, "x", [y, tower.zero, tower.one])
         verdict = is_decomposable_multi(obstruction, 2)
         assert not verdict.decomposable
         assert verdict.residual is not None and verdict.residual.is_zero

@@ -18,14 +18,14 @@ from polydecomp import (
     polynomial_tower,
     verify,
 )
-from support import rand_int_poly, rand_poly
+from support import monomial, rand_int_poly, rand_poly
 
 QQ = Rationals()
-P6 = Poly.from_coeffs(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
+P6 = Poly(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
 
 
 def frac_poly(domain, var, strings):
-    return Poly.from_coeffs(domain, var, [Fraction(s) for s in strings])
+    return Poly(domain, var, [Fraction(s) for s in strings])
 
 
 def test_golden_triple_d6():
@@ -53,10 +53,10 @@ def test_golden_triple_d2():
 
 
 def test_pure_power_decomposes_cleanly():
-    p = Poly.monomial(QQ, "x", 1, 4)
+    p = monomial(QQ, "x", 1, 4)
     dec = decompose(p, 2)
-    assert dec.h == Poly.monomial(QQ, "t", 1, 2)
-    assert dec.q == Poly.monomial(QQ, "x", 1, 2)
+    assert dec.h == monomial(QQ, "t", 1, 2)
+    assert dec.q == monomial(QQ, "x", 1, 2)
     assert dec.r.is_zero
 
 
@@ -115,11 +115,11 @@ def test_uniqueness_by_perturbation():
         p = h.compose(q)
         j = rng.choice([j for j in range(1, n - m) if j % m])
         y = QQ.element(Fraction(rng.randint(1, 9)))
-        dec = decompose(p + Poly.monomial(QQ, "x", y, j), d)
+        dec = decompose(p + monomial(QQ, "x", y, j), d)
         base = decompose(p, d)
         assert dec.q == base.q
         assert dec.h == base.h
-        assert dec.r == base.r + Poly.monomial(QQ, "x", y, j)
+        assert dec.r == base.r + monomial(QQ, "x", y, j)
 
 
 def test_triple_is_the_only_one_of_its_shape():
@@ -133,11 +133,11 @@ def test_triple_is_the_only_one_of_its_shape():
         dec = decompose(p, d)
         n = p.degree
         j = rng.choice([j for j in range(1, n - m) if j % m])
-        r_variant = dec.r + Poly.monomial(QQ, "x", rng.randint(1, 9), j)
+        r_variant = dec.r + monomial(QQ, "x", rng.randint(1, 9), j)
         assert verify(p, Decomposition(dec.h, dec.q, r_variant, d)).index_condition
         assert dec.h.compose(dec.q) + r_variant != p
         k = rng.randint(0, d - 2)  # any slot of h except the frozen top two
-        h_variant = dec.h + Poly.monomial(QQ, "t", rng.randint(1, 9), k)
+        h_variant = dec.h + monomial(QQ, "t", rng.randint(1, 9), k)
         assert h_variant.is_monic and h_variant.coeff(d - 1).is_zero
         assert h_variant.compose(dec.q) + dec.r != p
 
@@ -157,7 +157,7 @@ def test_composition_round_trip_recovers_parts():
         d = rng.choice([2, 3])
         m = rng.randint(1, 3)
         h = rand_int_poly(rng, QQ, "t", d, monic=True)
-        h = h - Poly.monomial(QQ, "t", h.coeff(d - 1), d - 1)  # kill the t^(d-1) term
+        h = h - monomial(QQ, "t", h.coeff(d - 1), d - 1)  # kill the t^(d-1) term
         q = rand_int_poly(rng, QQ, "x", m, monic=True)
         dec = decompose(h.compose(q), d)
         assert dec.h == h
@@ -167,7 +167,7 @@ def test_composition_round_trip_recovers_parts():
 
 def test_error_pass_through():
     with pytest.raises(NotMonic):
-        decompose(Poly.from_coeffs(QQ, "x", [1, 0, 0, 0, 2]), 2)
+        decompose(Poly(QQ, "x", [1, 0, 0, 0, 2]), 2)
     with pytest.raises(DegreeNotDivisible):
         decompose(P6, 4)
 
@@ -183,12 +183,12 @@ def test_verify_flags_each_violation():
     assert not report.ok
 
     # smuggle the forbidden t^2 term into h
-    h_bad = good.h + Poly.monomial(QQ, "t", 1, 2)
+    h_bad = good.h + monomial(QQ, "t", 1, 2)
     report = verify(p, Decomposition(h_bad, good.q, good.r, 3))
     assert not report.degree_bound
 
     # r picks up a term at an exponent divisible by deg q = 2
-    r_bad = good.r + Poly.monomial(QQ, "x", 1, 2)
+    r_bad = good.r + monomial(QQ, "x", 1, 2)
     report = verify(p, Decomposition(good.h, good.q, r_bad, 3))
     assert not report.index_condition
     assert not report.reconstruction
@@ -202,14 +202,14 @@ def test_verify_flags_each_violation():
 def test_verify_survives_degenerate_inner():
     p = P6
     const_q = Poly.constant(QQ, "x", 1)
-    report = verify(p, Decomposition(Poly.monomial(QQ, "t", 1, 3), const_q, Poly.zero(QQ, "x"), 3))
+    report = verify(p, Decomposition(monomial(QQ, "t", 1, 3), const_q, Poly.zero(QQ, "x"), 3))
     assert not report.degree_bound
     assert not report.index_condition
     assert not report.ok
 
     mismatched = Decomposition(
-        Poly.monomial(PrimeField(5), "t", 1, 2),
-        Poly.monomial(PrimeField(5), "x", 1, 3),
+        monomial(PrimeField(5), "t", 1, 2),
+        monomial(PrimeField(5), "x", 1, 3),
         Poly.zero(PrimeField(5), "x"),
         2,
     )
@@ -232,10 +232,10 @@ def test_multivariate_decomposition():
     tower = polynomial_tower(QQ, ["y"])
     y = tower.generator("y")
     # p = (x^2 + y*x)^2 + 3, inner coefficients genuinely involve y
-    q = Poly.from_coeffs(tower, "x", [tower.zero, y, tower.one])
+    q = Poly(tower, "x", [tower.zero, y, tower.one])
     p = q * q + Poly.constant(tower, "x", 3)
     dec = decompose(p, 2)
     assert dec.q == q
-    assert dec.h == Poly.from_coeffs(tower, "t", [3, 0, 1])
+    assert dec.h == Poly(tower, "t", [3, 0, 1])
     assert dec.r.is_zero
     assert verify(p, dec).ok

@@ -1,6 +1,6 @@
 """approx_root and decompose against the straightforward oracles in
 support.py and against SymPy, the polynomial-level work they are
-allowed to do, Poly products against the schoolbook product, and the
+allowed to do, Poly products and sums against the schoolbook ones, and the
 parser against dense Poly evaluation.  Every Hypothesis test is
 derandomized, so tier-1 draws the same cases, in the same time, on
 every run."""
@@ -25,6 +25,7 @@ from polydecomp.cli import parse_poly
 from support import (
     approx_root_by_powers,
     decompose_by_peeling,
+    monomial,
     schoolbook_compose,
     schoolbook_product,
 )
@@ -40,7 +41,7 @@ def _elements(domain):
     if domain == QQ:
         return st.fractions(-9, 9, max_denominator=9).map(domain.element)
     ys = st.lists(st.integers(-9, 9), max_size=3)
-    return ys.map(lambda cs: domain.element(Poly.from_coeffs(QQ, "y", cs)))
+    return ys.map(lambda cs: domain.element(Poly(QQ, "y", cs)))
 
 
 @st.composite
@@ -104,6 +105,13 @@ def kernel_cases(domain):
     return st.tuples(poly("x", size), poly("x", size), poly("t", 4))
 
 
+def assert_sums_equal_schoolbook(f, g):
+    """f + g and f - g against coefficient sums taken Element by Element."""
+    pairs = [(f.coeff(i), g.coeff(i)) for i in range(max(len(f.coeffs), len(g.coeffs)))]
+    assert f + g == Poly(f.domain, f.variable, [a + b for a, b in pairs])
+    assert f - g == Poly(f.domain, f.variable, [a - b for a, b in pairs])
+
+
 @pytest.mark.parametrize(
     "domain", [QQ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY], ids=str
 )
@@ -113,8 +121,15 @@ def test_kernels_equal_schoolbook(domain, data):
     f, g, h = data.draw(kernel_cases(domain))
     assert f * g == schoolbook_product(f, g)
     assert h.compose(g) == schoolbook_compose(h, g)
+    assert -f == Poly(domain, "x", [-c for c in f.coeffs])
+    assert_sums_equal_schoolbook(f, g)
+    assert_sums_equal_schoolbook(g, f)
     if not f.coeffs:
         return
+    # k shares f's top coefficient, so f - k and f + (-k) cancel there
+    k = Poly(domain, "x", [g.coeff(i) for i in range(len(f.coeffs) - 1)] + [f.coeffs[-1]])
+    assert_sums_equal_schoolbook(f, k)
+    assert_sums_equal_schoolbook(f, Poly(domain, "x", [-c for c in k.coeffs]))
     scalar = f.coeffs[-1]
     assert g * scalar == schoolbook_product(g, Poly(domain, "x", (scalar,)))
     # the two kernels of the root table and the decompose scan
@@ -143,7 +158,7 @@ def test_poly_operation_counts(monkeypatch, domain, d):
 
         monkeypatch.setattr(Poly, name, counted)
     m = 7
-    p = Poly.from_coeffs(domain, "x", [Fraction(i % 5 - 2, i % 3 + 1) for i in range(d * m)] + [1])
+    p = Poly(domain, "x", [Fraction(i % 5 - 2, i % 3 + 1) for i in range(d * m)] + [1])
 
     approx_root(p, d)
     assert calls == {"compose": 0, "__pow__": 0, "__mul__": 0}
@@ -171,12 +186,12 @@ def test_sympy_chains_are_found_here():
         n = rng.choice(composite)
         d = rng.choice([k for k in range(2, n) if n % k == 0])
         m = n // d
-        h = Poly.from_coeffs(QQ, "t", [rng.randint(-9, 9) for _ in range(d)] + [1])
-        q = Poly.from_coeffs(QQ, "x", [rng.randint(-9, 9) for _ in range(m)] + [1])
+        h = Poly(QQ, "t", [rng.randint(-9, 9) for _ in range(d)] + [1])
+        q = Poly(QQ, "x", [rng.randint(-9, 9) for _ in range(m)] + [1])
         p = h.compose(q)
         if case % 2:
             c = rng.choice([-1, 1]) * rng.randint(1, 9)
-            p = p + Poly.monomial(QQ, "x", c, rng.randrange(1, n - m))
+            p = p + monomial(QQ, "x", c, rng.randrange(1, n - m))
         chain = sympy.decompose(sympy.Poly([int(a.value) for a in reversed(p.coeffs)], x))
         chains += len(chain) > 1
         outer = 1
