@@ -61,7 +61,7 @@ def approx_root(p: Poly, d: int) -> Poly:
         rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
         b_k = mul(sub(p.values[n - k], reduce(add, rests)), inv_d)
         b.append(b_k)
-        if not domain._is_zero(b_k):
+        if b_k:
             nonzero.append(k)
             b_nonzero.append(b_k)
         below = zero

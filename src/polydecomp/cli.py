@@ -216,25 +216,25 @@ class _Parser:
         """a + b, merging the smaller map into the larger one."""
         if len(a) < len(b):
             a, b = b, a
-        plus, is_zero = self.field._add, self.field._is_zero
+        plus = self.field._add
         for key, value in b.items():
             if key in a:
                 value = plus(a[key], value)
-                if is_zero(value):
+                if not value:
                     del a[key]
                     continue
             a[key] = value
         return a
 
     def product(self, a: dict, b: dict) -> dict:
-        plus, times, is_zero = self.field._add, self.field._mul, self.field._is_zero
+        plus, times = self.field._add, self.field._mul
         out: dict = {}
         for ka, va in a.items():
             for kb, vb in b.items():
                 key = tuple(map(add, ka, kb))
                 old = out.get(key)
                 out[key] = times(va, vb) if old is None else plus(old, times(va, vb))
-        return {key: value for key, value in out.items() if not is_zero(value)}
+        return {key: value for key, value in out.items() if value}
 
     def power(self, a: dict, e: int) -> dict:
         if len(a) == 1:
@@ -358,13 +358,8 @@ def parse_poly(
 def poly_to_json(f: Poly) -> dict:
     """Schema: {"var": name, "coeffs": [c0, c1, ...]} ascending, where a
     coefficient is a rational/residue string or a nested object."""
-    return {"var": f.variable, "coeffs": [_coeff_to_json(c) for c in f.coeffs]}
-
-
-def _coeff_to_json(c: Element):
-    if isinstance(c.domain, PolynomialRing):
-        return poly_to_json(c.value)
-    return str(c)
+    coeffs = [poly_to_json(c.value) if isinstance(c.value, Poly) else str(c) for c in f.coeffs]
+    return {"var": f.variable, "coeffs": coeffs}
 
 
 def _monomials(el: Element, acc: tuple):
@@ -478,7 +473,7 @@ def _variety_json(system: VarietySystem) -> dict:
         "n": system.n,
         "d": system.d,
         "indeterminates": list(system.indeterminates),
-        "equations": [_coeff_to_json(eq) for eq in system.equations],
+        "equations": [poly_to_json(eq.value) for eq in system.equations],
     }
 
 

@@ -62,10 +62,10 @@ def _decide(p: Poly, d: int, lead: Element | None) -> DecomposabilityVerdict:
     comes back over the ground domain, multiplied by ``lead`` when p is
     the input scaled monic by that factor."""
     dec = decompose(p, d)
-    if not dec.r.is_zero or not all(c.is_ground for c in dec.h.coeffs):
+    ground = [c._ground() for c in dec.h.coeffs]
+    if dec.r or None in ground:
         return DecomposabilityVerdict(False, None, dec.r, lead)
-    k = ground_domain(p.domain)
-    h = Poly(k, dec.h.variable, tuple(c.ground_value() for c in dec.h.coeffs))
+    h = Poly(ground_domain(p.domain), dec.h.variable, ground)
     if lead is not None:
         h = h * lead
     return DecomposabilityVerdict(True, Witness(h, dec.q), dec.r, lead)

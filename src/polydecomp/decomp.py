@@ -49,13 +49,12 @@ def decompose(p: Poly, d: int) -> Decomposition:
     powers = [f.values for f in powers]
     # p and q^d are both monic of degree n
     e = list(map(domain._sub, p.values, powers[d]))
-    is_zero = domain._is_zero
     zero = domain.zero.value
     h = [zero] * d + [domain.one.value]
     r = [zero] * len(e)
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
-        if is_zero(c):
+        if not c:
             continue
         if i % m:
             r[i] = c
@@ -90,7 +89,7 @@ def verify(p: Poly, dec: Decomposition) -> ConditionReport:
     if p.values and q.values and q.degree >= 1:
         m = q.degree
         degree_bound = h.degree == dec.d and h.coeff(dec.d - 1).is_zero and r.degree < p.degree - m
-        index_condition = all(i % m for i, c in enumerate(r.values) if not r.domain._is_zero(c))
+        index_condition = all(i % m for i, c in enumerate(r.values) if c)
     else:
         degree_bound = False
         index_condition = False

@@ -33,68 +33,63 @@ from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
 VARIABLE_NAME = re.compile("[A-Za-z][A-Za-z0-9]*")
 
 
+def same_domain(a: "Domain", b: "Domain") -> None:
+    """Raise DomainMismatch unless a and b are the same domain."""
+    if a is not b and a != b:
+        raise DomainMismatch(f"{a} vs {b}")
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Element:
     """A domain value tagged with the domain it lives in: the public view
     of a coefficient, which a Poly stores as the bare value.
 
     Arithmetic is defined between elements of equal domains only; mixing
-    domains raises DomainMismatch.  Instances are immutable by
-    convention and hashable.
+    domains raises DomainMismatch.  Equality and hashing are those of
+    the (domain, value) pair, and ``is_zero`` is the value being false.
+    Instances are immutable by convention.
     """
 
-    __slots__ = ("domain", "value")
-
-    def __init__(self, domain: "Domain", value):
-        self.domain = domain
-        self.value = value
-
-    def _check(self, other: "Element") -> None:
-        d = self.domain
-        if d is not other.domain and d != other.domain:
-            raise DomainMismatch(f"{d} vs {other.domain}")
+    domain: "Domain"
+    value: object
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
+        same_domain(self.domain, other.domain)
         return Element(self.domain, self.domain._add(self.value, other.value))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
+        same_domain(self.domain, other.domain)
         return Element(self.domain, self.domain._sub(self.value, other.value))
 
     def __mul__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
+        same_domain(self.domain, other.domain)
         return Element(self.domain, self.domain._mul(self.value, other.value))
 
     def __neg__(self):
         return Element(self.domain, self.domain._neg(self.value))
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        d = self.domain
-        return (d is other.domain or d == other.domain) and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.domain, self.value))
-
     @property
     def is_zero(self) -> bool:
-        return self.domain._is_zero(self.value)
+        return not self.value
+
+    def _strip(self) -> "Element":
+        """The element under every tower level where it is a constant: a
+        ground element, or a tower element with a variable in it."""
+        el = self
+        while isinstance(el.domain, PolynomialRing) and el.value.degree <= 0:
+            el = el.value.coeff(0)
+        return el
 
     def _ground(self) -> "Element | None":
         """The ground constant under the element; None if a level has a variable."""
-        el = self
-        while isinstance(el.domain, PolynomialRing):
-            if el.value.degree > 0:
-                return None
-            el = el.value.coeff(0)
-        return el
+        el = self._strip()
+        return None if isinstance(el.domain, PolynomialRing) else el
 
     @property
     def is_ground(self) -> bool:
@@ -120,30 +115,34 @@ class Element:
         except ValueError:  # beyond the interpreter's int/str digit limit
             raise CoefficientTooLarge("a coefficient has too many digits to print") from None
 
-    def __repr__(self):
-        return f"Element({self.value!r}, {self.domain})"
-
 
 class Domain:
     """Base class of all coefficient domains.
 
-    Subclasses provide the raw value hooks _canonical and _invert plus
-    metadata.  ``element`` passes elements of this domain through,
-    hands elements of other domains to _lift (an error except in
-    towers), rejects floats and canonicalizes anything else with
-    _canonical.  The _add, _sub, _mul, _neg, _pow and _is_zero hooks
-    default to the values' own operators; PrimeField overrides the first
-    five to reduce mod p.  Subclasses are dataclasses, so domains compare
-    structurally; equal domains are fully interchangeable.
+    A domain's values are raw: a Fraction, a residue int, or a Poly one
+    tower level down.  A value is zero exactly when it is false.
+    Subclasses provide the hooks _canonical and _invert plus metadata.
+    ``element`` passes elements of this domain through, hands elements
+    of other domains to _lift (an error except in towers), rejects
+    floats and canonicalizes anything else with _canonical.  The _add,
+    _sub, _mul, _neg and _pow hooks default to the values' own
+    operators; PrimeField overrides them to reduce mod p.  Subclasses
+    are dataclasses, so domains compare structurally; equal domains are
+    fully interchangeable.  ``zero`` and ``one`` are set once, when the
+    domain is made.
 
     A Poly stores raw values and computes with these hooks.  The list
     kernels _mul_lists, _dot and _sub_scaled work on sequences of raw
     values, which they trust to be canonical values of this domain; the
-    generic versions here are built on the hooks, and the fields
+    generic versions here use the values' own operators, and the fields
     override them with loops over plain ints.
     """
 
     is_field = False
+
+    def __post_init__(self):
+        self.zero = self.element(0)
+        self.one = self.element(1)
 
     def element(self, value) -> Element:
         """Coerce ``value`` into this domain, canonicalizing it."""
@@ -157,25 +156,6 @@ class Domain:
 
     def _lift(self, value: Element) -> Element:
         raise DomainMismatch(f"{value.domain} is not {self}")
-
-    # cached with setattr, not functools.cached_property: writing the
-    # instance __dict__ directly slows every later attribute load on
-    # the domain in CPython 3.11, and _mul/_add run per coefficient
-    @property
-    def zero(self) -> Element:
-        try:
-            return self._zero
-        except AttributeError:
-            self._zero = self.element(0)
-            return self._zero
-
-    @property
-    def one(self) -> Element:
-        try:
-            return self._one
-        except AttributeError:
-            self._one = self.element(1)
-            return self._one
 
     def invert_integer(self, m: int) -> Element:
         """The inverse of the integer m in this domain, if it has one."""
@@ -196,38 +176,23 @@ class Domain:
     def _pow(self, a, e: int):
         return a**e
 
-    def _is_zero(self, a) -> bool:
-        return a == 0
-
     def _mul_lists(self, a: list, b: list) -> list:
         """The product of two nonempty ascending value lists."""
-        add, times, is_zero = self._add, self._mul, self._is_zero
-        out = [self.zero.value] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if is_zero(x):
-                continue
-            for j, y in enumerate(b, i):
-                out[j] = add(out[j], times(x, y))
-        return out
+        return _convolve(a, b, self.zero.value)
 
     def _dot(self, xs: list, ys: list):
         """The sum of xs[i] * ys[i]."""
-        add, times = self._add, self._mul
-        total = self.zero.value
-        for x, y in zip(xs, ys):
-            total = add(total, times(x, y))
-        return total
+        return sum(map(mul, xs, ys), self.zero.value)
 
     def _sub_scaled(self, e: list, c, a: list) -> None:
         """e[j] -= c * a[j] in place, for every j < len(a) <= len(e)."""
-        sub, times = self._sub, self._mul
-        for j, y in enumerate(a):
-            e[j] = sub(e[j], times(c, y))
+        e[: len(a)] = [x - c * y for x, y in zip(e, a)]
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two nonempty int coefficient lists, unreduced."""
-    out = [0] * (len(a) + len(b) - 1)
+def _convolve(a: list, b: list, zero=0) -> list:
+    """The product of two nonempty value lists by the values' own
+    operators: over ints, unreduced."""
+    out = [zero] * (len(a) + len(b) - 1)
     n = len(b)
     for i, x in enumerate(a):
         if x:
@@ -245,7 +210,7 @@ class Rationals(Domain):
         return Fraction(value)
 
     def _invert(self, a):
-        if a == 0:
+        if not a:
             raise NotInvertible("0 has no inverse")
         return 1 / a
 
@@ -309,20 +274,15 @@ class PrimeField(Domain):
             raise ValueError("p must be below 2**31")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        super().__post_init__()
 
     def _canonical(self, value):
         if isinstance(value, Fraction):
-            num, den = value.numerator, value.denominator
-            if den % self.p == 0:
-                raise NotInvertible(f"{den} is not invertible modulo {self.p}")
-            return num * pow(den, self.p - 2, self.p) % self.p
+            return value.numerator * self._invert(value.denominator) % self.p
         return value % self.p
 
     def invert_integer(self, m: int) -> Element:
-        r = m % self.p
-        if r == 0:
-            raise NotInvertible(f"{m} is not invertible modulo {self.p}")
-        return Element(self, pow(r, self.p - 2, self.p))
+        return Element(self, self._invert(m))
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -340,8 +300,9 @@ class PrimeField(Domain):
         return pow(a, e, self.p)
 
     def _invert(self, a):
-        if a == 0:
-            raise NotInvertible(f"0 is not invertible modulo {self.p}")
+        """The inverse mod p of any int a."""
+        if a % self.p == 0:
+            raise NotInvertible(f"{a} is not invertible modulo {self.p}")
         return pow(a, self.p - 2, self.p)
 
     # delayed reduction: sums of products are plain ints, reduced once
@@ -382,6 +343,7 @@ class PolynomialRing(Domain):
             if d.variable == self.variable:
                 raise ValueError(f"variable {self.variable!r} already occurs in the tower")
             d = d.base
+        super().__post_init__()
 
     def _canonical(self, value):
         from .poly import Poly
@@ -416,9 +378,6 @@ class PolynomialRing(Domain):
         if a.degree != 0:
             raise NotInvertible("only nonzero constants are invertible here")
         return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
-
-    def _is_zero(self, a) -> bool:
-        return a.is_zero
 
     def __str__(self):
         return f"{self.base}[{self.variable}]"

@@ -3,8 +3,10 @@
 A Poly stores each coefficient once, in the tuple ``values``, as the raw
 canonical value of its domain: a Fraction, a residue int, or a Poly one
 tower level down.  ``values[i]`` belongs to ``variable**i`` and the
-tuple never ends in a zero, so the zero polynomial is the empty tuple
-and otherwise ``degree == len(values) - 1``.  The degree of the zero
+tuple never ends in a zero, a value that is false, so the zero
+polynomial is the empty tuple and otherwise ``degree == len(values) -
+1``.  A Poly is false exactly when it is zero, which makes it a raw
+value like the others one tower level up.  The degree of the zero
 polynomial is the sentinel ``NEG_INF``, which compares below every
 integer.  ``coeffs``, ``coeff`` and ``leading_coefficient`` are the
 public view: they wrap values into Elements on read.
@@ -27,8 +29,8 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable
 
-from .domain import Domain, Element
-from .errors import DomainMismatch, VariableMismatch
+from .domain import Domain, Element, PolynomialRing, same_domain
+from .errors import VariableMismatch
 
 
 @total_ordering
@@ -52,12 +54,6 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def same_domain(a: Domain, b: Domain) -> None:
-    """Raise DomainMismatch unless a and b are the same domain."""
-    if a is not b and a != b:
-        raise DomainMismatch(f"{a} vs {b}")
-
-
 class Poly:
     """A polynomial in one variable with coefficients in a Domain."""
 
@@ -69,7 +65,7 @@ class Poly:
 
     def _set(self, domain: Domain, variable: str, values) -> None:
         n = len(values)
-        while n and domain._is_zero(values[n - 1]):
+        while n and not values[n - 1]:
             n -= 1
         self.domain, self.variable, self.values = domain, variable, tuple(values[:n])
 
@@ -113,6 +109,10 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.values
+
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for every raw value."""
+        return bool(self.values)
 
     @property
     def leading_coefficient(self) -> Element:
@@ -235,16 +235,14 @@ def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> st
     for c, monomial in terms:
         if c.is_zero:
             continue
+        c = c._strip()
         sign = "+"
-        if c.is_ground:
-            g = c.ground_value()
-            if g.value < 0:
-                sign, g = "-", -g
-            text, unit = str(g), g.value == 1
-        else:
-            while c.value.degree == 0:  # constant at its own level
-                c = c.value.coeff(0)
+        if isinstance(c.domain, PolynomialRing):
             text, unit = f"({c.value})", False
+        else:
+            if c.value < 0:
+                sign, c = "-", -c
+            text, unit = str(c), c.value == 1
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
         if not names:
             body = text

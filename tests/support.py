@@ -84,7 +84,7 @@ def assert_canonical_poly(p: Poly) -> None:
     zero, each one canonical for the polynomial's domain."""
     assert isinstance(p.values, tuple)
     if p.values:
-        assert not p.domain._is_zero(p.values[-1])
+        assert p.values[-1]
     for v in p.values:
         assert_canonical_element(Element(p.domain, v))
 
@@ -105,9 +105,10 @@ def power_by_repeated_mul(f: Poly, e: int) -> Poly:
 def schoolbook_product(f: Poly, g: Poly) -> Poly:
     """Oracle for the list kernels behind Poly.__mul__: every product
     and sum of coefficients taken Element by Element."""
-    out = [f.domain.zero] * (len(f.coeffs) + len(g.coeffs))
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    fs, gs = f.coeffs, g.coeffs  # each read builds a new tuple of Elements
+    out = [f.domain.zero] * (len(fs) + len(gs))
+    for i, a in enumerate(fs):
+        for j, b in enumerate(gs):
             out[i + j] = out[i + j] + a * b
     return Poly(f.domain, f.variable, out)
 

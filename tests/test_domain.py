@@ -46,6 +46,11 @@ def test_ring_axioms_on_random_triples():
             assert a * one == a
             assert a + (-a) == zero
             assert a - b == a + (-b)
+            # a raw value is zero exactly when it is false, a Poly included
+            for x in (a, b, c):
+                assert bool(x.value) == (Element(domain, x.value) != zero)
+                if isinstance(x.value, Poly):
+                    assert bool(x.value) == (not x.value.is_zero)
 
 
 def test_arithmetic_results_stay_canonical():
@@ -79,8 +84,13 @@ def test_invert_integer():
 
 
 def test_invert_integer_failures():
-    with pytest.raises(NotInvertible):
+    # one inverse mod p behind all three, each message naming its own int
+    with pytest.raises(NotInvertible, match="^10 is not invertible modulo 5$"):
         PrimeField(5).invert_integer(10)
+    with pytest.raises(NotInvertible, match="^0 is not invertible modulo 5$"):
+        PrimeField(5).element(0).inverse()
+    with pytest.raises(NotInvertible, match="^10 is not invertible modulo 5$"):
+        PrimeField(5).element(Fraction(1, 10))
     with pytest.raises(NotInvertible):
         PrimeField(2).invert_integer(2)
     with pytest.raises(NotInvertible):

@@ -32,6 +32,10 @@ from support import (
 
 QQ = Rationals()
 QQY = polynomial_tower(QQ, ["y"])
+# towers run the generic kernels: over GF(7)[y] their values multiply
+# through PrimeField's kernels, over QQ[y][z] through the generic ones
+GF7Y = polynomial_tower(PrimeField(7), ["y"])
+QQYZ = polynomial_tower(QQ, ["y", "z"])
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
@@ -40,8 +44,9 @@ def _elements(domain):
         return st.integers(0, domain.p - 1).map(domain.element)
     if domain == QQ:
         return st.fractions(-9, 9, max_denominator=9).map(domain.element)
-    ys = st.lists(st.integers(-9, 9), max_size=3)
-    return ys.map(lambda cs: domain.element(Poly(QQ, "y", cs)))
+    base = domain.base
+    coeffs = st.lists(st.integers(-9, 9) if base == QQ else _elements(base), max_size=3)
+    return coeffs.map(lambda cs: domain.element(Poly(base, domain.variable, cs)))
 
 
 @st.composite
@@ -113,7 +118,7 @@ def assert_sums_equal_schoolbook(f, g):
 
 
 @pytest.mark.parametrize(
-    "domain", [QQ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY], ids=str
+    "domain", [QQ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY, GF7Y, QQYZ], ids=str
 )
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
