@@ -55,7 +55,9 @@ from .domain import (
     PolynomialRing,
     PrimeField,
     Rationals,
+    ground_domain,
     polynomial_tower,
+    value_text,
 )
 from .errors import (
     ConstantTooLarge,
@@ -309,12 +311,12 @@ class _Parser:
                     raise DivisionByZeroLiteral("denominator is zero", den_tok[2])
                 pos = den_tok[2]
             try:
-                ground = self.field.element(Fraction(num, den))
+                value = self.field._canonical(Fraction(num, den))
             except NotInvertible:
                 raise DivisionByZeroLiteral(
                     f"denominator {den} is zero in {self.field}", pos
                 ) from None
-            terms = {} if ground.is_zero else {self.constant: ground.value}
+            terms = {self.constant: value} if value else {}
             return terms, self.constant
         if kind == "ident":
             if text not in self.units:
@@ -358,26 +360,27 @@ def parse_poly(
 def poly_to_json(f: Poly) -> dict:
     """Schema: {"var": name, "coeffs": [c0, c1, ...]} ascending, where a
     coefficient is a rational/residue string or a nested object."""
-    coeffs = [poly_to_json(c.value) if isinstance(c.value, Poly) else str(c) for c in f.coeffs]
+    coeffs = [poly_to_json(c) if isinstance(c, Poly) else value_text(c) for c in f.values]
     return {"var": f.variable, "coeffs": coeffs}
 
 
-def _monomials(el: Element, acc: tuple):
-    """Each nonzero ground coefficient of el with the (variable, exponent)
-    pair of every tower level, outermost first."""
-    if not isinstance(el.domain, PolynomialRing):
-        if not el.is_zero:
-            yield el, acc
+def _monomials(domain: Domain, value, acc: tuple):
+    """Each nonzero ground value under a raw value of ``domain`` with the
+    (variable, exponent) pair of every tower level, outermost first."""
+    if not isinstance(domain, PolynomialRing):
+        if value:
+            yield value, acc
         return
-    for e, c in enumerate(el.value.coeffs):
-        yield from _monomials(c, acc + ((el.value.variable, e),))
+    for e, c in enumerate(value.values):
+        yield from _monomials(domain.base, c, acc + ((value.variable, e),))
 
 
 def element_to_text(el: Element) -> str:
     """Flatten a tower element to explicit monomials, outermost variable
     sorted first, so nested constants print like ordinary polynomials."""
-    terms = sorted(_monomials(el, ()), key=lambda t: [e for _, e in t[1]], reverse=True)
-    return join_terms((c, reversed(monomial)) for c, monomial in terms)
+    terms = _monomials(el.domain, el.value, ())
+    terms = sorted(terms, key=lambda t: [e for _, e in t[1]], reverse=True)
+    return join_terms(ground_domain(el.domain), ((c, reversed(monomial)) for c, monomial in terms))
 
 
 # ----------------------------------------------------------------------

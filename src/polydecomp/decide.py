@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from .approot import check_outer_degree
 from .decomp import OUTER_VARIABLE, decompose
-from .domain import Element, PrimeField, Rationals, ground_domain, polynomial_tower
+from .domain import Element, PolynomialRing, PrimeField, Rationals, ground_domain, polynomial_tower
 from .errors import EnumerationTooLarge, NotMonic, NotMonicInMainVar
-from .poly import Poly
+from .poly import Poly, descend
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ def _decide(p: Poly, d: int, lead: Element | None) -> DecomposabilityVerdict:
     comes back over the ground domain, multiplied by ``lead`` when p is
     the input scaled monic by that factor."""
     dec = decompose(p, d)
-    ground = [c._ground() for c in dec.h.coeffs]
-    if dec.r or None in ground:
+    ground = [descend(p.domain, c) for c in dec.h.values]
+    if dec.r or any(isinstance(level, PolynomialRing) for level, _ in ground):
         return DecomposabilityVerdict(False, None, dec.r, lead)
-    h = Poly(ground_domain(p.domain), dec.h.variable, ground)
+    h = Poly._of(ground_domain(p.domain), dec.h.variable, [c for _, c in ground])
     if lead is not None:
         h = h * lead
     return DecomposabilityVerdict(True, Witness(h, dec.q), dec.r, lead)

@@ -88,7 +88,7 @@ def verify(p: Poly, dec: Decomposition) -> ConditionReport:
     monic = h.is_monic and q.is_monic
     if p.values and q.values and q.degree >= 1:
         m = q.degree
-        degree_bound = h.degree == dec.d and h.coeff(dec.d - 1).is_zero and r.degree < p.degree - m
+        degree_bound = h.degree == dec.d and not h.values[dec.d - 1] and r.degree < p.degree - m
         index_condition = all(i % m for i, c in enumerate(r.values) if c)
     else:
         degree_bound = False

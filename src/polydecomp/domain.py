@@ -39,10 +39,23 @@ def same_domain(a: "Domain", b: "Domain") -> None:
         raise DomainMismatch(f"{a} vs {b}")
 
 
+def value_text(value) -> str:
+    """Decimal text of a raw value; every coefficient printed by the
+    package goes through here."""
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int/str digit limit
+        raise CoefficientTooLarge("a coefficient has too many digits to print") from None
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class Element:
     """A domain value tagged with the domain it lives in: the public view
     of a coefficient, which a Poly stores as the bare value.
+
+    Only public names build one: ``Poly.coeffs``, ``coeff`` and
+    ``leading_coefficient``, a domain's ``element``, ``zero``, ``one``,
+    ``generator`` and ``invert_integer``, and Element arithmetic.
 
     Arithmetic is defined between elements of equal domains only; mixing
     domains raises DomainMismatch.  Equality and hashing are those of
@@ -78,42 +91,12 @@ class Element:
     def is_zero(self) -> bool:
         return not self.value
 
-    def _strip(self) -> "Element":
-        """The element under every tower level where it is a constant: a
-        ground element, or a tower element with a variable in it."""
-        el = self
-        while isinstance(el.domain, PolynomialRing) and el.value.degree <= 0:
-            el = el.value.coeff(0)
-        return el
-
-    def _ground(self) -> "Element | None":
-        """The ground constant under the element; None if a level has a variable."""
-        el = self._strip()
-        return None if isinstance(el.domain, PolynomialRing) else el
-
-    @property
-    def is_ground(self) -> bool:
-        """True when the element is a constant through every tower level."""
-        return self._ground() is not None
-
-    def ground_value(self) -> "Element":
-        """The underlying ground constant; requires ``is_ground``."""
-        el = self._ground()
-        if el is None:
-            raise ValueError("element is not a ground constant")
-        return el
-
     def inverse(self) -> "Element":
         """Multiplicative inverse; raises NotInvertible when there is none."""
         return Element(self.domain, self.domain._invert(self.value))
 
     def __str__(self):
-        """Decimal text of the value; every coefficient printed by the
-        package goes through here."""
-        try:
-            return str(self.value)
-        except ValueError:  # beyond the interpreter's int/str digit limit
-            raise CoefficientTooLarge("a coefficient has too many digits to print") from None
+        return value_text(self.value)
 
 
 class Domain:

@@ -9,7 +9,7 @@ polynomial is the empty tuple and otherwise ``degree == len(values) -
 value like the others one tower level up.  The degree of the zero
 polynomial is the sentinel ``NEG_INF``, which compares below every
 integer.  ``coeffs``, ``coeff`` and ``leading_coefficient`` are the
-public view: they wrap values into Elements on read.
+public view and the only code here that wraps values into Elements.
 
 A Poly is immutable; every operation returns a new instance.  A Poly
 over ``PolynomialRing(D, v)`` has coefficients that are themselves
@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable
 
-from .domain import Domain, Element, PolynomialRing, same_domain
+from .domain import Domain, Element, PolynomialRing, same_domain, value_text
 from .errors import VariableMismatch
 
 
@@ -215,16 +215,27 @@ class Poly:
 
     def __str__(self):
         v = self.variable
-        terms = [(c, ((v, i),)) for i, c in enumerate(self.coeffs)]
-        return join_terms(reversed(terms))
+        terms = [(c, ((v, i),)) for i, c in enumerate(self.values)]
+        return join_terms(self.domain, reversed(terms))
 
     def __repr__(self):
         return f"<Poly {self} over {self.domain}>"
 
 
-def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> str:
+def descend(domain: Domain, value) -> tuple[Domain, object]:
+    """Step down through every tower level where the value is constant:
+    to a ground (domain, value) pair, zero included, or to the level
+    where a variable occurs."""
+    while isinstance(domain, PolynomialRing) and value.degree <= 0:
+        value = value.values[0] if value else domain.base.zero.value
+        domain = domain.base
+    return domain, value
+
+
+def join_terms(domain: Domain, terms: Iterable[tuple[object, Iterable[tuple[str, int]]]]) -> str:
     """Grammar-compatible text for (coefficient, monomial) terms in the
-    order given, each monomial being (variable, exponent) pairs.
+    order given, each coefficient being a raw value of ``domain`` and
+    each monomial (variable, exponent) pairs.
 
     Zero coefficients and zero exponents are left out, a negative ground
     coefficient becomes a " - " join, a unit coefficient is not written
@@ -233,16 +244,16 @@ def join_terms(terms: Iterable[tuple[Element, Iterable[tuple[str, int]]]]) -> st
     """
     parts: list[str] = []
     for c, monomial in terms:
-        if c.is_zero:
+        if not c:
             continue
-        c = c._strip()
+        level, c = descend(domain, c)
         sign = "+"
-        if isinstance(c.domain, PolynomialRing):
-            text, unit = f"({c.value})", False
+        if isinstance(level, PolynomialRing):
+            text, unit = f"({c})", False
         else:
-            if c.value < 0:
+            if c < 0:
                 sign, c = "-", -c
-            text, unit = str(c), c.value == 1
+            text, unit = value_text(c), c == 1
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
         if not names:
             body = text

@@ -33,7 +33,7 @@ from polydecomp import (
     verify,
 )
 from polydecomp.cli import main as cli_main
-from support import lift, monomial, rand_int_poly, rand_poly, specialize
+from support import lift, monomial, rand_int_poly, specialize
 
 QQ = Rationals()
 

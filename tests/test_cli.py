@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import polydecomp
-from polydecomp import Poly, PolyDecompError, PrimeField, Rationals, polynomial_tower
+from polydecomp import Element, Poly, PolyDecompError, PrimeField, Rationals, polynomial_tower
 from polydecomp.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
@@ -277,6 +277,39 @@ def test_element_to_text_flattens_towers():
     gf = polynomial_tower(PrimeField(7), ["u", "v"])
     u, v = gf.generator("u"), gf.generator("v")
     assert element_to_text(u * v * gf.element(3) - u - gf.one) == "3*u*v + 6*u + 6"
+
+
+def test_renderers_build_no_element(monkeypatch):
+    """Text and JSON output read the raw values: printing a QQ[y][z]
+    polynomial, a GF(7) one and a tower element wraps no coefficient
+    into an Element."""
+    tower = polynomial_tower(QQ, ["y", "z"])
+    y, z = tower.generator("y"), tower.generator("z")
+    el = y * y * z - z - tower.element(Fraction(3, 2))
+    polys = [
+        Poly(tower, "x", [el, tower.zero, -y, tower.element(-1), tower.one]),
+        Poly(PrimeField(7), "x", [3, 0, -1, 1]),
+    ]
+    built = []
+    original = Element.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    texts = [str(p) for p in polys]
+    objs = [poly_to_json(p) for p in polys]
+    flat = element_to_text(el)
+    monkeypatch.undo()
+    assert built == []
+    assert texts == [
+        "x^4 - x^3 + (-y)*x^2 + ((y^2 - 1)*z - 3/2)",
+        "x^3 + 6*x^2 + 3",
+    ]
+    assert objs[1] == {"var": "x", "coeffs": ["3", "0", "6", "1"]}
+    assert objs[0]["coeffs"][3] == {"var": "z", "coeffs": [{"var": "y", "coeffs": ["-1"]}]}
+    assert flat == "y^2*z - z - 3/2"
 
 
 # ------------------------------------------------------------ CLI commands

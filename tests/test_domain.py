@@ -18,6 +18,7 @@ from polydecomp import (
     ground_domain,
     polynomial_tower,
 )
+from polydecomp.poly import descend
 from support import assert_canonical_element, rand_element, rand_fraction, specialize
 
 DOMAINS = [
@@ -199,14 +200,15 @@ def test_element_equality_is_structural():
 def test_ground_helpers():
     tower = polynomial_tower(Rationals(), ["a", "b"])
     assert ground_domain(tower) == Rationals()
-    five = tower.element(5)
-    assert five.is_ground
-    assert five.ground_value() == Rationals().element(5)
-    gen = tower.generator("a")
-    assert not gen.is_ground
-    with pytest.raises(ValueError):
-        gen.ground_value()
-    assert Rationals().element(3).is_ground
+    # a constant descends to the ground, zero included
+    assert descend(tower, tower.element(5).value) == (Rationals(), Fraction(5))
+    assert descend(tower, tower.zero.value) == (Rationals(), Fraction(0))
+    # a is constant in the outer level b, so the descent stops at QQ[a]
+    level, value = descend(tower, tower.generator("a").value)
+    assert level == tower.base
+    assert value == Poly.gen(Rationals(), "a")
+    assert descend(tower, tower.generator("b").value)[0] == tower
+    assert descend(Rationals(), Fraction(3)) == (Rationals(), Fraction(3))
 
 
 def test_generator_lookup():
@@ -246,6 +248,5 @@ def test_tower_element_lifting():
     tower = polynomial_tower(Rationals(), ["y", "z"])
     ground = Rationals().element(Fraction(3, 2))
     lifted = tower.element(ground)
-    assert lifted.is_ground
-    assert lifted.ground_value() == ground
+    assert descend(tower, lifted.value) == (Rationals(), ground.value)
     assert lifted + tower.element(1) == tower.element(Fraction(5, 2))
