@@ -48,9 +48,9 @@ def approx_root(p: Poly, d: int) -> Poly:
     check_outer_degree(n, d, "deg(p)")
     domain = p.domain
     add, sub, mul, dot = domain._add, domain._sub, domain._mul, domain._dot
-    inv_d = domain.invert_integer(d).value
+    inv_d = domain._invert_integer(d)
     m = n // d
-    zero, one = domain.zero.value, domain.one.value
+    zero, one = domain._zero, domain._one
     b = [one]
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
     b_nonzero = []  # b_i for those i

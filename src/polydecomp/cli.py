@@ -55,7 +55,6 @@ from .domain import (
     PolynomialRing,
     PrimeField,
     Rationals,
-    ground_domain,
     polynomial_tower,
     value_text,
 )
@@ -69,6 +68,7 @@ from .errors import (
     UnknownVariable,
 )
 from .poly import Poly, join_terms
+from .sparse import flatten, merge, negate, nest, product
 
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 2**20
@@ -140,23 +140,6 @@ def _int(tok: tuple[str, str, int]) -> int:
         raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
 
 
-def _dense(terms: dict, domain: Domain, variable: str) -> Poly:
-    """The Poly in ``variable`` over ``domain`` with the given terms:
-    key[0] is the exponent of ``variable`` and key[1:] are those of the
-    domain's tower levels, outermost first."""
-    if isinstance(domain, PolynomialRing):
-        groups: dict = {}
-        for key, value in terms.items():
-            groups.setdefault(key[0], {})[key[1:]] = value
-        coeffs = {e: _dense(sub, domain.base, domain.variable) for e, sub in groups.items()}
-    else:
-        coeffs = {key[0]: value for key, value in terms.items()}
-    dense = [domain.zero.value] * (max(coeffs, default=-1) + 1)
-    for e, c in coeffs.items():
-        dense[e] = c
-    return Poly._of(domain, variable, dense)
-
-
 class _Parser:
     """Recursive descent over the token list, building sparse maps.
 
@@ -166,9 +149,10 @@ class _Parser:
     with its degree in each variable, in the same order, as written: a
     sum takes the larger degree, so cancellation is not seen.  That is
     what lets a product or power be bounded before it is computed.
-    Values combine through the field's own hooks.  A map belongs to the
-    rule that returned it, so sums and negations work in place, and
-    ``parse`` turns the final map into a dense tower Poly once.
+    Values combine through the field's own hooks (sparse.py).  A map
+    belongs to the rule that returned it, so sums and negations work in
+    place, and ``parse`` nests the final map into a dense tower Poly
+    once.
     """
 
     def __init__(self, text: str, domain: Domain, main: str, others: Sequence[str], field: Domain):
@@ -180,7 +164,7 @@ class _Parser:
         self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
         self.constant = (0,) * len(levels)
         self.field = field
-        self.one = field.one.value
+        self.one = field._one
         self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -203,40 +187,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return _dense(terms, self.domain, self.main)
-
-    # ------------------------------------------------------------------
-    # sparse arithmetic
-
-    def negate(self, a: dict) -> dict:
-        neg = self.field._neg
-        for key, value in a.items():
-            a[key] = neg(value)
-        return a
-
-    def merge(self, a: dict, b: dict) -> dict:
-        """a + b, merging the smaller map into the larger one."""
-        if len(a) < len(b):
-            a, b = b, a
-        plus = self.field._add
-        for key, value in b.items():
-            if key in a:
-                value = plus(a[key], value)
-                if not value:
-                    del a[key]
-                    continue
-            a[key] = value
-        return a
-
-    def product(self, a: dict, b: dict) -> dict:
-        plus, times = self.field._add, self.field._mul
-        out: dict = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                key = tuple(map(add, ka, kb))
-                old = out.get(key)
-                out[key] = times(va, vb) if old is None else plus(old, times(va, vb))
-        return {key: value for key, value in out.items() if value}
+        return Poly._of(self.domain, self.main, nest(terms, self.domain))
 
     def power(self, a: dict, e: int) -> dict:
         if len(a) == 1:
@@ -245,10 +196,10 @@ class _Parser:
         result = {self.constant: self.one}
         while e:
             if e & 1:
-                result = self.product(result, a)
+                result = product(result, a, self.field)
             e >>= 1
             if e:
-                a = self.product(a, a)
+                a = product(a, a, self.field)
         return result
 
     # ------------------------------------------------------------------
@@ -259,7 +210,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs, rhs_degrees = self.term()
-            terms = self.merge(terms, rhs if op == "+" else self.negate(rhs))
+            terms = merge(terms, rhs if op == "+" else negate(rhs, self.field), self.field)
             degrees = tuple(map(max, degrees, rhs_degrees))
         return terms, degrees
 
@@ -270,7 +221,7 @@ class _Parser:
             rhs, rhs_degrees = self.factor()
             bits = _norm_bits(terms, self.field) + _norm_bits(rhs, self.field)
             degrees = _bounded(map(add, degrees, rhs_degrees), bits, pos)
-            terms = self.product(terms, rhs)
+            terms = product(terms, rhs, self.field)
         return terms, degrees
 
     def factor(self) -> tuple[dict, tuple[int, ...]]:
@@ -294,7 +245,7 @@ class _Parser:
             self.depth += 1
             if kind == "-":
                 terms, degrees = self.factor()
-                terms = self.negate(terms)
+                terms = negate(terms, self.field)
             else:
                 terms, degrees = self.expr()
                 self.expect(")")
@@ -364,23 +315,15 @@ def poly_to_json(f: Poly) -> dict:
     return {"var": f.variable, "coeffs": coeffs}
 
 
-def _monomials(domain: Domain, value, acc: tuple):
-    """Each nonzero ground value under a raw value of ``domain`` with the
-    (variable, exponent) pair of every tower level, outermost first."""
-    if not isinstance(domain, PolynomialRing):
-        if value:
-            yield value, acc
-        return
-    for e, c in enumerate(value.values):
-        yield from _monomials(domain.base, c, acc + ((value.variable, e),))
-
-
 def element_to_text(el: Element) -> str:
     """Flatten a tower element to explicit monomials, outermost variable
     sorted first, so nested constants print like ordinary polynomials."""
-    terms = _monomials(el.domain, el.value, ())
-    terms = sorted(terms, key=lambda t: [e for _, e in t[1]], reverse=True)
-    return join_terms(ground_domain(el.domain), ((c, reversed(monomial)) for c, monomial in terms))
+    names, ground = [], el.domain
+    while isinstance(ground, PolynomialRing):
+        names.append(ground.variable)
+        ground = ground.base
+    terms = sorted(flatten(el.domain, (el.value,)).items(), reverse=True)
+    return join_terms(ground, ((c, reversed([*zip(names, key[1:])])) for key, c in terms))
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .decomp import OUTER_VARIABLE, decompose
 from .domain import Element, PolynomialRing, PrimeField, Rationals, ground_domain, polynomial_tower
 from .errors import EnumerationTooLarge, NotMonic, NotMonicInMainVar
 from .poly import Poly, descend
+from .sparse import nest
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,12 @@ def variety_equations(n: int, d: int) -> VarietySystem:
     """
     check_outer_degree(n, d, "n")
     names = tuple(f"a{k}" for k in range(1, n + 1))
-    tower = polynomial_tower(Rationals(), names)
-    coeffs = [tower.zero] * (n + 1)
-    coeffs[n] = tower.one
-    for k in range(1, n + 1):
-        coeffs[n - k] = tower.generator(names[k - 1])
-    generic = Poly(tower, "x", coeffs)
+    ground = Rationals()
+    tower = polynomial_tower(ground, names)
+    # x^i has the coefficient a_(n-i), and the tower's levels run from
+    # a_n, so its one ground term has exponent 1 at level i
+    terms = {(i, *[int(j == i) for j in range(n)]): ground._one for i in range(n + 1)}
+    generic = Poly._of(tower, "x", nest(terms, tower))
     dec = decompose(generic, d)
     m = n // d
     slots = [i for i in range(n - m - 1, 0, -1) if i % m]

@@ -49,9 +49,8 @@ def decompose(p: Poly, d: int) -> Decomposition:
     powers = [f.values for f in powers]
     # p and q^d are both monic of degree n
     e = list(map(domain._sub, p.values, powers[d]))
-    zero = domain.zero.value
-    h = [zero] * d + [domain.one.value]
-    r = [zero] * len(e)
+    h = [domain._zero] * d + [domain._one]
+    r = [domain._zero] * len(e)
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
         if not c:

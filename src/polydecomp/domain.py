@@ -105,44 +105,54 @@ class Domain:
     A domain's values are raw: a Fraction, a residue int, or a Poly one
     tower level down.  A value is zero exactly when it is false.
     Subclasses provide the hooks _canonical and _invert plus metadata.
-    ``element`` passes elements of this domain through, hands elements
-    of other domains to _lift (an error except in towers), rejects
-    floats and canonicalizes anything else with _canonical.  The _add,
-    _sub, _mul, _neg and _pow hooks default to the values' own
-    operators; PrimeField overrides them to reduce mod p.  Subclasses
-    are dataclasses, so domains compare structurally; equal domains are
-    fully interchangeable.  ``zero`` and ``one`` are set once, when the
-    domain is made.
+    ``_value`` coerces anything into a raw value, which ``element``
+    wraps: it unwraps elements of this domain, hands elements of other
+    domains to _lift (an error except in towers), rejects floats and
+    canonicalizes anything else with _canonical.  The _add, _sub, _mul,
+    _neg and _pow hooks default to the values' own operators; PrimeField
+    overrides them to reduce mod p.  Subclasses are dataclasses, so
+    domains compare structurally; equal domains are fully
+    interchangeable.  The raw ``_zero`` and ``_one`` are set once, when
+    the domain is made; ``zero`` and ``one`` wrap them.
 
-    A Poly stores raw values and computes with these hooks.  The list
-    kernels _mul_lists, _dot and _sub_scaled work on sequences of raw
-    values, which they trust to be canonical values of this domain; the
-    generic versions here use the values' own operators, and the fields
-    override them with loops over plain ints.
+    A Poly stores raw values and computes with these hooks and with the
+    list kernels _mul_lists, _dot and _sub_scaled of each subclass: the
+    fields loop over plain ints, towers make one pass over a sparse map
+    of ground terms (sparse.py).  The kernels trust their values to be
+    canonical values of this domain.
     """
 
     is_field = False
 
     def __post_init__(self):
-        self.zero = self.element(0)
-        self.one = self.element(1)
+        self._zero, self._one = self._canonical(0), self._canonical(1)
+
+    zero = property(lambda self: Element(self, self._zero))
+    one = property(lambda self: Element(self, self._one))
 
     def element(self, value) -> Element:
         """Coerce ``value`` into this domain, canonicalizing it."""
+        return Element(self, self._value(value))
+
+    def _value(self, value):
+        """The canonical raw value of ``value`` in this domain."""
         if isinstance(value, Element):
             if value.domain is self or value.domain == self:
-                return value
+                return value.value
             return self._lift(value)
         if isinstance(value, float):
             raise TypeError("floating point values are not allowed")
-        return Element(self, self._canonical(value))
+        return self._canonical(value)
 
-    def _lift(self, value: Element) -> Element:
+    def _lift(self, value: Element):
         raise DomainMismatch(f"{value.domain} is not {self}")
 
     def invert_integer(self, m: int) -> Element:
         """The inverse of the integer m in this domain, if it has one."""
-        return self.element(m).inverse()
+        return Element(self, self._invert_integer(m))
+
+    def _invert_integer(self, m: int):
+        return self._invert(self._canonical(m))
 
     def _add(self, a, b):
         return a + b
@@ -159,23 +169,10 @@ class Domain:
     def _pow(self, a, e: int):
         return a**e
 
-    def _mul_lists(self, a: list, b: list) -> list:
-        """The product of two nonempty ascending value lists."""
-        return _convolve(a, b, self.zero.value)
 
-    def _dot(self, xs: list, ys: list):
-        """The sum of xs[i] * ys[i]."""
-        return sum(map(mul, xs, ys), self.zero.value)
-
-    def _sub_scaled(self, e: list, c, a: list) -> None:
-        """e[j] -= c * a[j] in place, for every j < len(a) <= len(e)."""
-        e[: len(a)] = [x - c * y for x, y in zip(e, a)]
-
-
-def _convolve(a: list, b: list, zero=0) -> list:
-    """The product of two nonempty value lists by the values' own
-    operators: over ints, unreduced."""
-    out = [zero] * (len(a) + len(b) - 1)
+def _convolve(a: list, b: list) -> list:
+    """The unreduced product of two nonempty int lists."""
+    out = [0] * (len(a) + len(b) - 1)
     n = len(b)
     for i, x in enumerate(a):
         if x:
@@ -264,8 +261,8 @@ class PrimeField(Domain):
             return value.numerator * self._invert(value.denominator) % self.p
         return value % self.p
 
-    def invert_integer(self, m: int) -> Element:
-        return Element(self, self._invert(m))
+    def _invert_integer(self, m: int):
+        return self._invert(m)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -326,23 +323,25 @@ class PolynomialRing(Domain):
             if d.variable == self.variable:
                 raise ValueError(f"variable {self.variable!r} already occurs in the tower")
             d = d.base
+        self._ground = d
         super().__post_init__()
 
     def _canonical(self, value):
         from .poly import Poly
 
         if not isinstance(value, Poly):
-            return Poly.constant(self.base, self.variable, value)
+            return Poly._of(self.base, self.variable, (self.base._value(value),))
         if value.domain == self.base and value.variable == self.variable:
             return value
         raise DomainMismatch(f"{value.variable!r}-polynomial does not fit {self}")
 
-    def _lift(self, value: Element) -> Element:
-        # an element of a deeper level becomes a constant
-        return Element(self, self._canonical(value))
+    # an element of a deeper level becomes a constant
+    _lift = _canonical
 
-    def invert_integer(self, m: int) -> Element:
-        return self.element(self.base.invert_integer(m))
+    def _invert_integer(self, m: int):
+        from .poly import Poly
+
+        return Poly._of(self.base, self.variable, (self.base._invert_integer(m),))
 
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""
@@ -362,6 +361,28 @@ class PolynomialRing(Domain):
             raise NotInvertible("only nonzero constants are invertible here")
         return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
 
+    # one map of ground terms per operand, one pass of ground arithmetic
+    def _mul_lists(self, a, b):
+        from .sparse import add_product, flatten, nest
+
+        terms = add_product({}, flatten(self, a), flatten(self, b), self._ground)
+        return nest(terms, self, len(a) + len(b) - 1)
+
+    def _dot(self, xs, ys):
+        from .sparse import add_product, flatten, nest
+
+        terms: dict = {}
+        for x, y in zip(xs, ys):
+            add_product(terms, flatten(self, (x,)), flatten(self, (y,)), self._ground)
+        return nest(terms, self, 1)[0]
+
+    def _sub_scaled(self, e, c, a):
+        from .sparse import add_product, flatten, negate, nest
+
+        n, field = len(a), self._ground
+        minus_c = negate(flatten(self, (c,)), field)
+        e[:n] = nest(add_product(flatten(self, e[:n]), minus_c, flatten(self, a), field), self, n)
+
     def __str__(self):
         return f"{self.base}[{self.variable}]"
 
@@ -376,7 +397,4 @@ def polynomial_tower(base: Domain, names: Sequence[str]) -> Domain:
 
 def ground_domain(domain: Domain) -> Domain:
     """The innermost non-ring domain under a tower."""
-    while isinstance(domain, PolynomialRing):
-        domain = domain.base
-    return domain
-
+    return domain._ground if isinstance(domain, PolynomialRing) else domain

@@ -17,9 +17,9 @@ polynomials, which is how multivariate polynomials are represented, one
 variable per tower level.
 
 ``Poly(domain, variable, coeffs)`` coerces every coefficient with
-``domain.element``, so a stored value is always canonical for the
+``domain._value``, so a stored value is always canonical for the
 domain.  Arithmetic runs on the values through the domain's hooks and
-list kernels (``Domain._add``, ``Domain._mul_lists``) and builds its
+list kernels (``_add``, ``_mul_lists``) and builds its
 result with the trusted ``Poly._of``; only the operands' domains and
 variables are checked.
 """
@@ -60,8 +60,8 @@ class Poly:
     __slots__ = ("domain", "variable", "values")
 
     def __init__(self, domain: Domain, variable: str, coeffs: Iterable = ()):
-        element = domain.element
-        self._set(domain, variable, [element(c).value for c in coeffs])
+        value = domain._value
+        self._set(domain, variable, [value(c) for c in coeffs])
 
     def _set(self, domain: Domain, variable: str, values) -> None:
         n = len(values)
@@ -91,7 +91,7 @@ class Poly:
     @classmethod
     def gen(cls, domain: Domain, variable: str) -> "Poly":
         """The polynomial ``variable`` itself."""
-        return cls._of(domain, variable, (domain.zero.value, domain.one.value))
+        return cls._of(domain, variable, (domain._zero, domain._one))
 
     # ------------------------------------------------------------------
     # structure
@@ -122,7 +122,7 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.values) and self.values[-1] == self.domain.one.value
+        return bool(self.values) and self.values[-1] == self.domain._one
 
     def coeff(self, i: int) -> Element:
         """Coefficient of variable**i, zero beyond the degree."""
@@ -227,7 +227,7 @@ def descend(domain: Domain, value) -> tuple[Domain, object]:
     to a ground (domain, value) pair, zero included, or to the level
     where a variable occurs."""
     while isinstance(domain, PolynomialRing) and value.degree <= 0:
-        value = value.values[0] if value else domain.base.zero.value
+        value = value.values[0] if value else domain.base._zero
         domain = domain.base
     return domain, value
 

@@ -104,13 +104,65 @@ def power_by_repeated_mul(f: Poly, e: int) -> Poly:
 
 def schoolbook_product(f: Poly, g: Poly) -> Poly:
     """Oracle for the list kernels behind Poly.__mul__: every product
-    and sum of coefficients taken Element by Element."""
+    and sum of coefficients taken Element by Element.  Over a tower the
+    coefficient products are Poly products one level down, so the
+    tower kernels also meet SympyTower."""
     fs, gs = f.coeffs, g.coeffs  # each read builds a new tuple of Elements
     out = [f.domain.zero] * (len(fs) + len(gs))
     for i, a in enumerate(fs):
         for j, b in enumerate(gs):
             out[i + j] = out[i + j] + a * b
     return Poly(f.domain, f.variable, out)
+
+
+def tower_terms(domain: Domain, values) -> dict:
+    """{(i, exponents of the tower levels, outermost first): ground
+    value} for the nonzero ground values under a list of raw values of
+    ``domain``, read off ``values`` with no polydecomp arithmetic."""
+    terms = {}
+
+    def walk(level, value, key):
+        if isinstance(level, PolynomialRing):
+            for j, c in enumerate(value.values):
+                walk(level.base, c, key + (j,))
+        elif value:
+            terms[key] = value
+
+    for i, value in enumerate(values):
+        walk(domain, value, (i,))
+    return terms
+
+
+class SympyTower:
+    """SymPy's sparse polynomial ring over the ground field of a tower,
+    with one generator for the list index and one per tower level,
+    outermost first: a reference for the tower kernels that shares no
+    arithmetic with polydecomp."""
+
+    def __init__(self, domain: Domain):
+        from sympy import GF, QQ
+        from sympy.polys.rings import ring
+
+        levels = []
+        while isinstance(domain, PolynomialRing):
+            levels.append(domain.variable)
+            domain = domain.base
+        self.p = domain.p if isinstance(domain, PrimeField) else None
+        self.ring = ring(["i", *levels], QQ if self.p is None else GF(self.p))[0]
+
+    def of(self, domain: Domain, values):
+        """The list of raw values of ``domain`` as a SymPy polynomial."""
+        terms = tower_terms(domain, values)
+        if self.p is None:
+            qq = self.ring.domain
+            terms = {k: qq(v.numerator, v.denominator) for k, v in terms.items()}
+        return self.ring.from_dict(terms)
+
+    def terms(self, f) -> dict:
+        """A SymPy polynomial's terms with Fraction or residue values."""
+        if self.p is None:
+            return {k: Fraction(int(v.numerator), int(v.denominator)) for k, v in f.items()}
+        return {k: int(v) % self.p for k, v in f.items()}
 
 
 def schoolbook_compose(f: Poly, g: Poly) -> Poly:

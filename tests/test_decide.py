@@ -8,6 +8,7 @@ import pytest
 
 from polydecomp import (
     DegreeNotDivisible,
+    Element,
     EnumerationTooLarge,
     InvalidOuterDegree,
     NotMonic,
@@ -252,6 +253,23 @@ def test_variety_equations_detect_non_compositions():
         seen += 1
         values = coefficient_point(p, 6)
         assert any(not specialize(eq, values).is_zero for eq in system.equations)
+
+
+def test_variety_builds_elements_only_for_its_equations(monkeypatch):
+    """The generic polynomial, the tower and the decomposition all run
+    on raw values: the only Elements are the equations handed out."""
+    built = []
+    original = Element.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    system = variety_equations(12, 3)
+    monkeypatch.undo()
+    assert len(system.equations) == 6
+    assert len(built) <= len(system.equations)
 
 
 def test_variety_rejects_bad_parameters():

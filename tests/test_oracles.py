@@ -7,6 +7,7 @@ every run."""
 
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -14,28 +15,33 @@ from hypothesis import strategies as st
 
 from polydecomp import (
     Poly,
+    PolynomialRing,
     PrimeField,
     Rationals,
     approx_root,
     decompose,
     is_decomposable_uni,
     polynomial_tower,
+    variety_equations,
 )
 from polydecomp.cli import parse_poly
 from support import (
+    SympyTower,
     approx_root_by_powers,
+    assert_canonical_poly,
     decompose_by_peeling,
     monomial,
+    rand_poly,
     schoolbook_compose,
     schoolbook_product,
+    tower_terms,
 )
 
 QQ = Rationals()
 QQY = polynomial_tower(QQ, ["y"])
-# towers run the generic kernels: over GF(7)[y] their values multiply
-# through PrimeField's kernels, over QQ[y][z] through the generic ones
 GF7Y = polynomial_tower(PrimeField(7), ["y"])
 QQYZ = polynomial_tower(QQ, ["y", "z"])
+GF7YZ = polynomial_tower(PrimeField(7), ["y", "z"])
 SMALL_PRIMES = (2, 3, 5, 7)
 UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
@@ -151,6 +157,83 @@ def test_kernels_equal_schoolbook(domain, data):
     domain._sub_scaled(e, scalar.value, [b.value for b in gs])
     expected = [a - scalar * b for a, b in zip(f.coeffs, gs)] + list(f.coeffs[n:])
     assert e == [c.value for c in expected]
+
+
+@pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
+@settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(data=st.data())
+def test_tower_kernels_equal_sympy(domain, data):
+    """The three tower kernels against SymPy's sparse products, on lists
+    that always hold a zero and a value constant in the top variable."""
+    values = _elements(domain).map(attrgetter("value"))
+    a, b, e = (data.draw(st.lists(values, min_size=1, max_size=6)) for _ in range(3))
+    below = data.draw(_elements(domain.base).map(attrgetter("value")).filter(bool))
+    a.insert(data.draw(st.integers(0, len(a))), domain._zero)
+    b.insert(data.draw(st.integers(0, len(b))), Poly(domain.base, domain.variable, [below]))
+    e += [domain._zero] * (len(a) - len(e))
+    c = data.draw(values)
+    ref = SympyTower(domain)
+
+    def check(result, expected):
+        for value in result:
+            assert_canonical_poly(value)
+        assert tower_terms(domain, result) == ref.terms(expected)
+
+    product = domain._mul_lists(a, b)
+    assert len(product) == len(a) + len(b) - 1
+    check(product, ref.of(domain, a) * ref.of(domain, b))
+    n = min(len(a), len(b))
+    dot = sum((ref.of(domain, [x]) * ref.of(domain, [y]) for x, y in zip(a, b)), ref.ring.zero)
+    check([domain._dot(a[:n], b[:n])], dot)
+    expected = ref.of(domain, e) - ref.of(domain, [c]) * ref.of(domain, a)
+    length = len(e)
+    domain._sub_scaled(e, c, a)
+    assert len(e) == length
+    check(e, expected)
+
+
+def test_tower_operation_counts(monkeypatch):
+    """No hidden recursion in towers: decompose over QQ[y][z] and
+    variety_equations make at most d - 1 products of top-level Polys,
+    and the tower kernels make no Poly product or sum on any level."""
+    top = [None]
+    in_kernels = [0]
+    calls = {"top": 0, "in kernels": 0, "kernels": 0}
+    for name in ("__mul__", "__add__", "__sub__"):
+        original = getattr(Poly, name)
+
+        def counted(self, other, _name=name, _original=original):
+            if in_kernels[0]:
+                calls["in kernels"] += 1
+            elif _name == "__mul__" and self.domain == top[0]:
+                calls["top"] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Poly, name, counted)
+    for name in ("_mul_lists", "_dot", "_sub_scaled"):
+        original = getattr(PolynomialRing, name)
+
+        def kernel(*args, _original=original):
+            calls["kernels"] += 1
+            in_kernels[0] += 1
+            try:
+                return _original(*args)
+            finally:
+                in_kernels[0] -= 1
+
+        monkeypatch.setattr(PolynomialRing, name, kernel)
+    rng = random.Random(11)
+    for d in (2, 3, 4):
+        p = rand_poly(rng, QQYZ, "x", 3 * d, monic=True)
+        top[0], calls["top"] = QQYZ, 0
+        decompose(p, d)
+        assert calls["top"] <= d - 1, d
+    top[0] = polynomial_tower(QQ, [f"a{k}" for k in range(1, 11)])
+    calls["top"] = 0
+    variety_equations(10, 2)
+    assert calls["top"] <= 1
+    assert calls["kernels"] > 0
+    assert calls["in kernels"] == 0
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
