@@ -7,14 +7,15 @@ divisible by deg q.  Under those constraints the triple (h, q, r) is
 unique, which makes it a normal form: p is a composition of the given
 shape exactly when r vanishes.
 
-With m = deg q, the residual e = p - h(q) - r starts as p - q**d and is
-scanned from its top coefficient down.  A nonzero coefficient c of x^i
-goes to h as c*t^(i/m) when m divides i, which subtracts c*q^(i/m) from
-e and leaves e[i] zero because q is monic; otherwise it goes to r as
-c*x^i.  Either way nothing at or above x^i changes afterwards.  The
-powers q^0 .. q^d cost d - 1 polynomial products, O(n^2) ring
-operations for n = deg p, and each of the at most d - 1 terms of h
-below t^d costs O(n) more, so the whole split is O(n^2).
+With m = deg q and e = p - q**d, the coefficients of h and r are read
+off from the top of p down, each by one linear equation in those
+already found: at x^i the coefficient left is c = e[i] minus the sum of
+h_j * (q^j)[i] over the terms h_j*t^j of h found so far, each with
+j*m > i.  A nonzero c goes to h as c*t^(i/m) when m divides i, since
+q^(i/m) is monic; otherwise it goes to r as c*x^i.  The powers q^2 ..
+q^d cost d - 1 list products, O(n^2) ring operations for n = deg p,
+and each coefficient one dot product over at most d - 1 terms, so the
+whole split is O(n^2).
 """
 
 from __future__ import annotations
@@ -43,23 +44,27 @@ def decompose(p: Poly, d: int) -> Decomposition:
     q = approx_root(p, d)
     domain, var = p.domain, p.variable
     m = q.degree
-    powers = [Poly.constant(domain, var, 1), q]
+    powers = [[domain._one], q.values]  # q^j as raw values, j = 0 .. d
     for _ in range(d - 1):
-        powers.append(powers[-1] * q)
-    powers = [f.values for f in powers]
+        powers.append(domain._mul_lists(powers[-1], q.values))
     # p and q^d are both monic of degree n
     e = list(map(domain._sub, p.values, powers[d]))
     h = [domain._zero] * d + [domain._one]
     r = [domain._zero] * len(e)
+    found = []  # the j < d with h_j != 0, the only terms of a dot
+    h_found = []  # h_j for those j
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
+        if found:
+            c = domain._sub(c, domain._dot(h_found, [powers[j][i] for j in found]))
         if not c:
             continue
         if i % m:
             r[i] = c
             continue
         h[i // m] = c
-        domain._sub_scaled(e, c, powers[i // m])
+        found.append(i // m)
+        h_found.append(c)
     return Decomposition(Poly._of(domain, OUTER_VARIABLE, h), q, Poly._of(domain, var, r), d)
 
 

@@ -116,9 +116,9 @@ class Domain:
     the domain is made; ``zero`` and ``one`` wrap them.
 
     A Poly stores raw values and computes with these hooks and with the
-    list kernels _mul_lists, _dot and _sub_scaled of each subclass: the
-    fields loop over plain ints, towers make one pass over a sparse map
-    of ground terms (sparse.py).  The kernels trust their values to be
+    two list kernels of each subclass, _mul_lists and _dot: the fields
+    loop over plain ints, towers make one pass over a sparse map of
+    ground terms (sparse.py).  The kernels trust their values to be
     canonical values of this domain.
     """
 
@@ -211,17 +211,6 @@ class Rationals(Domain):
         num = sum([x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens)])
         return Fraction(num, den)
 
-    def _sub_scaled(self, e, c, a):
-        # one Fraction, so one gcd, per entry
-        cn, cd = c.numerator, c.denominator
-        e[: len(a)] = [
-            Fraction(
-                x.numerator * cd * y.denominator - cn * y.numerator * x.denominator,
-                x.denominator * cd * y.denominator,
-            )
-            for x, y in zip(e, a)
-        ]
-
     def __str__(self):
         return "QQ"
 
@@ -257,9 +246,11 @@ class PrimeField(Domain):
         super().__post_init__()
 
     def _canonical(self, value):
-        if isinstance(value, Fraction):
-            return value.numerator * self._invert(value.denominator) % self.p
-        return value % self.p
+        if isinstance(value, int):
+            return value % self.p
+        if not isinstance(value, Fraction):  # text, a Decimal, ...
+            value = Fraction(value)
+        return value.numerator * self._invert(value.denominator) % self.p
 
     def _invert_integer(self, m: int):
         return self._invert(m)
@@ -293,10 +284,6 @@ class PrimeField(Domain):
     def _dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def _sub_scaled(self, e, c, a):
-        p = self.p
-        e[: len(a)] = [(x - c * y) % p for x, y in zip(e, a)]
-
     def __str__(self):
         return f"GF({self.p})"
 
@@ -316,14 +303,8 @@ class PolynomialRing(Domain):
     def __post_init__(self):
         if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
-        if not VARIABLE_NAME.fullmatch(self.variable):
-            raise ValueError(f"bad variable name {self.variable!r}")
-        d = self.base
-        while isinstance(d, PolynomialRing):
-            if d.variable == self.variable:
-                raise ValueError(f"variable {self.variable!r} already occurs in the tower")
-            d = d.base
-        self._ground = d
+        check_variable(self.base, self.variable)
+        self._ground = ground_domain(self.base)
         super().__post_init__()
 
     def _canonical(self, value):
@@ -376,15 +357,20 @@ class PolynomialRing(Domain):
             add_product(terms, flatten(self, (x,)), flatten(self, (y,)), self._ground)
         return nest(terms, self, 1)[0]
 
-    def _sub_scaled(self, e, c, a):
-        from .sparse import add_product, flatten, negate, nest
-
-        n, field = len(a), self._ground
-        minus_c = negate(flatten(self, (c,)), field)
-        e[:n] = nest(add_product(flatten(self, e[:n]), minus_c, flatten(self, a), field), self, n)
-
     def __str__(self):
         return f"{self.base}[{self.variable}]"
+
+
+def check_variable(domain: Domain, name: str) -> None:
+    """The one rule for a variable over ``domain``, adjoined as a tower
+    level or as a Poly's own: a VARIABLE_NAME that occurs nowhere in
+    ``domain``'s tower."""
+    if not VARIABLE_NAME.fullmatch(name):
+        raise ValueError(f"bad variable name {name!r}")
+    while isinstance(domain, PolynomialRing):
+        if domain.variable == name:
+            raise ValueError(f"variable {name!r} already occurs in the tower")
+        domain = domain.base
 
 
 def polynomial_tower(base: Domain, names: Sequence[str]) -> Domain:

@@ -18,10 +18,12 @@ variable per tower level.
 
 ``Poly(domain, variable, coeffs)`` coerces every coefficient with
 ``domain._value``, so a stored value is always canonical for the
-domain.  Arithmetic runs on the values through the domain's hooks and
-list kernels (``_add``, ``_mul_lists``) and builds its
-result with the trusted ``Poly._of``; only the operands' domains and
-variables are checked.
+domain, and rejects a variable that a tower level over ``domain``
+could not have (``check_variable``), so its text re-parses.
+Arithmetic runs on the values through the domain's hooks and list
+kernels (``_add``, ``_mul_lists``) and builds its result with the
+trusted ``Poly._of``; only the operands' domains and variables are
+checked.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable
 
-from .domain import Domain, Element, PolynomialRing, same_domain, value_text
+from .domain import Domain, Element, PolynomialRing, check_variable, same_domain, value_text
 from .errors import VariableMismatch
 
 
@@ -60,6 +62,7 @@ class Poly:
     __slots__ = ("domain", "variable", "values")
 
     def __init__(self, domain: Domain, variable: str, coeffs: Iterable = ()):
+        check_variable(domain, variable)
         value = domain._value
         self._set(domain, variable, [value(c) for c in coeffs])
 

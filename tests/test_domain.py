@@ -1,6 +1,7 @@
 """Domain construction, canonical forms, and element arithmetic."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,15 @@ def test_residues_are_canonical():
     assert f5.element(Fraction(1, 3)).value == 2  # 3 * 2 = 6 = 1 mod 5
     with pytest.raises(NotInvertible):
         f5.element(Fraction(1, 5))
+    # anything else goes through Fraction, as over Q
+    assert f5.element(Decimal("2.5")).value == 0  # 5/2
+    assert f5.element(Decimal("0.5")).value == 3  # 1/2 = 3 mod 5
+    assert f5.element("3").value == 3
+    assert f5.element("-1/3").value == 3
+    with pytest.raises(NotInvertible, match="^10 is not invertible modulo 5$"):
+        f5.element(Decimal("0.1"))
+    with pytest.raises(TypeError):
+        f5.element(None)
 
 
 def test_floats_are_rejected():

@@ -233,6 +233,20 @@ def test_domain_mismatch_errors():
         Poly(QQ, "x", [1, 0.5])
 
 
+def test_variable_names_are_checked():
+    """A Poly's variable obeys the tower rule, so its text re-parses."""
+    qqy = polynomial_tower(QQ, ["y"])
+    with pytest.raises(ValueError, match="^bad variable name ''$"):
+        Poly(QQ, "", [1, 1])
+    with pytest.raises(ValueError, match="^bad variable name 'x y'$"):
+        Poly(QQ, "x y", [1, 1])
+    with pytest.raises(ValueError, match="^variable 'y' already occurs in the tower$"):
+        Poly(qqy, "y", [qqy.generator(), 1])
+    with pytest.raises(ValueError, match="^variable 'y' already occurs in the tower$"):
+        Poly.constant(polynomial_tower(QQ, ["y", "z"]), "y", 1)
+    assert str(Poly(qqy, "x", [qqy.generator(), 1])) == "x + (y)"
+
+
 def test_equality_is_structural():
     p1 = Poly(Rationals(), "x", [1, 2])
     p2 = Poly(Rationals(), "x", [Fraction(2, 2), Fraction(4, 2)])
