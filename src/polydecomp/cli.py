@@ -14,9 +14,10 @@ only inside rational literals.  Letters and digits are ASCII only,
 '(' and unary '-' nest at most MAX_DEPTH levels deep, and a product or
 power whose degree in some variable, as written, would pass MAX_DEGREE,
 or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
-from its operands, is rejected before it is computed.  Parsing keeps
-only the nonzero terms, so expanded input costs time linear in its
-length.  Text output re-parses to a
+from its operands, is rejected before it is computed.  A first pass
+raises every other error before any arithmetic but the literals' values
+(_Parser), and keeps only the nonzero terms, so expanded input costs
+time linear in its length.  Text output re-parses to a
 structurally equal polynomial under this grammar.  ``variety --n`` is at
 most MAX_VARIETY_N: the generic polynomial has n indeterminates.
 
@@ -102,20 +103,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _bounded(degrees, bits: int, pos: int) -> tuple[int, ...]:
-    """The degrees of a product or power, checked against MAX_DEGREE,
-    and a bound on the bit length of its coefficients, checked against
-    MAX_COEFF_BITS, before the operation is computed."""
-    degrees = tuple(degrees)
-    if max(degrees) > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {max(degrees)} is above the bound {MAX_DEGREE}", pos)
-    if bits > MAX_COEFF_BITS:
-        raise ConstantTooLarge(
-            f"coefficients could reach {bits} bits, above the bound {MAX_COEFF_BITS}", pos
-        )
-    return degrees
-
-
 def _norm_bits(terms: dict, field: Domain) -> int:
     """Bits of the largest numerator and of the common denominator L of
     the values, plus log2 of the number of terms: a bound on the bit
@@ -141,53 +128,186 @@ def _int(tok: tuple[str, str, int]) -> int:
 
 
 class _Parser:
-    """Recursive descent over the token list, building sparse maps.
+    """Recursive descent over the token list in two passes.
 
-    Each rule returns the terms it parsed as a map {exponent tuple: raw
-    ground value} without zero values, exponents listed main variable
-    first and then the tower levels from the outermost in, together
-    with its degree in each variable, in the same order, as written: a
-    sum takes the larger degree, so cancellation is not seen.  That is
-    what lets a product or power be bounded before it is computed.
-    Values combine through the field's own hooks (sparse.py).  A map
-    belongs to the rule that returned it, so sums and negations work in
-    place, and ``parse`` nests the final map into a dense tower Poly
-    once.
+    Pass 1, the grammar rules, builds a tree and raises every ParseError,
+    UnknownVariable, DivisionByZeroLiteral and DegreeTooLarge; its only
+    arithmetic is each literal's ground value and a leaf's negation:
+
+        leaf      (value, key)              value * the monomial key
+        sum       ("+", degrees, children)
+        product   ("*", degrees, factors, offsets of the '*'s)
+        power     ("^", degrees, base, e, offset of the '^')
+        negation  ("-", degrees, node)
+
+    Keys and degrees list the main variable, then the tower levels from
+    the outermost in.  Degrees are as written (a sum takes the larger;
+    a leaf's are its key).  A term of leaves, at most one of them not a
+    variable power, is one leaf.  Pass 2, ``evaluate``, raises only
+    ConstantTooLarge: it computes maps {key: raw ground value} without
+    zero values with the field's hooks (sparse.py), in place, since a
+    map belongs to the node that returned it.
     """
 
-    def __init__(self, text: str, domain: Domain, main: str, others: Sequence[str], field: Domain):
+    def __init__(self, text: str, field: Domain, levels: Sequence[str]):
         self.tokens = _tokenize(text)
-        self.index = 0
-        self.domain = domain
-        self.main = main
-        levels = [main, *reversed(others)]
-        self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
-        self.constant = (0,) * len(levels)
+        self.index = self.depth = 0
         self.field = field
         self.one = field._one
-        self.depth = 0
+        self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
+        self.constant = (0,) * len(levels)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def parse(self) -> dict:
+        children = self.expr()
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return self.evaluate(("+", (), children))
 
     def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.take()
+        tok = self.tokens[self.index]
+        self.index += 1
         if tok[0] != kind:
             shown = tok[1] if tok[0] != "end" else "end of input"
             raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2])
         return tok
 
-    def parse(self) -> Poly:
-        terms, _ = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return Poly._of(self.domain, self.main, nest(terms, self.domain))
+    def expr(self) -> list:
+        """The terms of a sum, each with its sign applied."""
+        children, negative = [], False
+        while True:
+            children.append(self.negate(self.term()) if negative else self.term())
+            op = self.tokens[self.index][0]
+            if op != "+" and op != "-":
+                return children
+            negative = op == "-"
+            self.index += 1
+
+    def term(self) -> tuple:
+        tokens, factors, stars = self.tokens, [], []
+        degrees, literal, foldable = self.constant, None, True  # literal: not a variable power
+        while True:
+            variable = tokens[self.index][0] == "ident"
+            node = self.factor()
+            if not variable:
+                foldable, literal = foldable and literal is None and len(node) == 2, node
+            degrees = tuple(map(add, degrees, node[1]))
+            if factors:
+                _check_degree(degrees, stars[-1])
+            factors.append(node)
+            kind, _, pos = tokens[self.index]
+            if kind != "*":
+                break
+            stars.append(pos)
+            self.index += 1
+        if len(factors) == 1:
+            return node
+        # No bits check: _int caps a literal at the interpreter's int/str
+        # digit limit, about 14k bits, and a variable power adds 2 norm
+        # bits, so every check of the product would be far below the bound.
+        if foldable:
+            return (literal[0] if literal else self.one), degrees
+        return "*", degrees, factors, stars
+
+    def factor(self) -> tuple:
+        # a variable power or an integer literal is read here, with no rule call
+        tokens = self.tokens
+        kind, text, pos = tokens[self.index]
+        variable = kind == "ident"
+        if variable:
+            if text not in self.units:
+                raise UnknownVariable(f"unknown variable {text!r}", pos)
+            node = self.one, self.units[text]
+            self.index += 1
+        elif kind == "number" and tokens[self.index + 1][0] != "/":
+            node = self.field._canonical(_int(tokens[self.index])), self.constant
+            self.index += 1
+        else:
+            node = self.atom()
+        kind, _, pos = tokens[self.index]
+        if kind != "^":
+            return node
+        self.index += 1
+        tok = self.expect("number")
+        e = _int(tok)
+        if e > MAX_DEGREE:
+            raise ParseError(f"exponent {e} is too large", tok[2])
+        degrees = tuple(e * a for a in node[1])
+        if variable:  # of degree e, within the bound
+            return self.one, degrees
+        return "^", _check_degree(degrees, pos), node, e, pos
+
+    def atom(self) -> tuple:
+        tok = self.tokens[self.index]
+        self.index += 1
+        kind, text, pos = tok
+        if kind == "number":  # a numerator, since factor reads integers
+            num = _int(tok)
+            self.index += 1
+            den_tok = self.expect("number")
+            den = _int(den_tok)
+            if den == 0:
+                raise DivisionByZeroLiteral("denominator is zero", den_tok[2])
+            try:
+                return self.field._canonical(Fraction(num, den)), self.constant
+            except NotInvertible:
+                raise DivisionByZeroLiteral(
+                    f"denominator {den} is zero in {self.field}", den_tok[2]
+                ) from None
+        if kind in ("-", "("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+            self.depth += 1
+            if kind == "-":
+                node = self.negate(self.factor())
+            else:
+                children = self.expr()
+                self.expect(")")
+                node = children[0]
+                if len(children) > 1:
+                    node = "+", tuple(map(max, *(n[1] for n in children))), children
+            self.depth -= 1
+            return node
+        shown = text if kind != "end" else "end of input"
+        raise ParseError(f"unexpected {shown!r}", pos)
+
+    def negate(self, node: tuple) -> tuple:
+        if len(node) == 2:
+            return self.field._neg(node[0]), node[1]
+        return "-", node[1], node
+
+    def evaluate(self, node: tuple) -> dict:
+        if len(node) == 2:
+            return {node[1]: node[0]} if node[0] else {}
+        field, op = self.field, node[0]
+        if op == "+":  # a leaf goes straight into the map
+            terms, plus = {}, field._add
+            for child in node[2]:
+                if len(child) != 2:
+                    terms = merge(terms, self.evaluate(child), field)
+                    continue
+                value, key = child
+                if key in terms:
+                    value = plus(terms[key], value)
+                if value:
+                    terms[key] = value
+                else:
+                    terms.pop(key, None)
+            return terms
+        if op == "-":
+            return negate(self.evaluate(node[2]), field)
+        if op == "^":
+            _, _, base, e, pos = node
+            terms = self.evaluate(base)
+            _check_bits(e * _norm_bits(terms, field), pos)
+            return self.power(terms, e)
+        _, _, factors, stars = node
+        terms = self.evaluate(factors[0])
+        for factor, pos in zip(factors[1:], stars):
+            rhs = self.evaluate(factor)
+            _check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), pos)
+            terms = product(terms, rhs, field)
+        return terms
 
     def power(self, a: dict, e: int) -> dict:
         if len(a) == 1:
@@ -202,79 +322,18 @@ class _Parser:
                 a = product(a, a, self.field)
         return result
 
-    # ------------------------------------------------------------------
-    # grammar rules
 
-    def expr(self) -> tuple[dict, tuple[int, ...]]:
-        terms, degrees = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs, rhs_degrees = self.term()
-            terms = merge(terms, rhs if op == "+" else negate(rhs, self.field), self.field)
-            degrees = tuple(map(max, degrees, rhs_degrees))
-        return terms, degrees
+def _check_degree(degrees: tuple[int, ...], pos: int) -> tuple[int, ...]:
+    if max(degrees) > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {max(degrees)} is above the bound {MAX_DEGREE}", pos)
+    return degrees
 
-    def term(self) -> tuple[dict, tuple[int, ...]]:
-        terms, degrees = self.factor()
-        while self.peek()[0] == "*":
-            pos = self.take()[2]
-            rhs, rhs_degrees = self.factor()
-            bits = _norm_bits(terms, self.field) + _norm_bits(rhs, self.field)
-            degrees = _bounded(map(add, degrees, rhs_degrees), bits, pos)
-            terms = product(terms, rhs, self.field)
-        return terms, degrees
 
-    def factor(self) -> tuple[dict, tuple[int, ...]]:
-        terms, degrees = self.atom()
-        if self.peek()[0] == "^":
-            pos = self.take()[2]
-            tok = self.expect("number")
-            e = _int(tok)
-            if e > MAX_DEGREE:
-                raise ParseError(f"exponent {e} is too large", tok[2])
-            degrees = _bounded([e * a for a in degrees], e * _norm_bits(terms, self.field), pos)
-            terms = self.power(terms, e)
-        return terms, degrees
-
-    def atom(self) -> tuple[dict, tuple[int, ...]]:
-        tok = self.take()
-        kind, text, pos = tok
-        if kind in ("-", "("):
-            if self.depth == MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
-            self.depth += 1
-            if kind == "-":
-                terms, degrees = self.factor()
-                terms = negate(terms, self.field)
-            else:
-                terms, degrees = self.expr()
-                self.expect(")")
-            self.depth -= 1
-            return terms, degrees
-        if kind == "number":
-            num = _int(tok)
-            den = 1
-            if self.peek()[0] == "/":
-                self.take()
-                den_tok = self.expect("number")
-                den = _int(den_tok)
-                if den == 0:
-                    raise DivisionByZeroLiteral("denominator is zero", den_tok[2])
-                pos = den_tok[2]
-            try:
-                value = self.field._canonical(Fraction(num, den))
-            except NotInvertible:
-                raise DivisionByZeroLiteral(
-                    f"denominator {den} is zero in {self.field}", pos
-                ) from None
-            terms = {self.constant: value} if value else {}
-            return terms, self.constant
-        if kind == "ident":
-            if text not in self.units:
-                raise UnknownVariable(f"unknown variable {text!r}", pos)
-            return {self.units[text]: self.one}, self.units[text]
-        shown = text if kind != "end" else "end of input"
-        raise ParseError(f"unexpected {shown!r}", pos)
+def _check_bits(bits: int, pos: int) -> None:
+    if bits > MAX_COEFF_BITS:
+        raise ConstantTooLarge(
+            f"coefficients could reach {bits} bits, above the bound {MAX_COEFF_BITS}", pos
+        )
 
 
 def parse_poly(
@@ -301,7 +360,8 @@ def parse_poly(
             raise ValueError(f"bad variable name {name!r}")
     others = [v for v in names if v != main]
     domain = polynomial_tower(field, others)
-    return _Parser(text, domain, main, others, field).parse()
+    terms = _Parser(text, field, [main, *reversed(others)]).parse()
+    return Poly._of(domain, main, nest(terms, domain))
 
 
 # ----------------------------------------------------------------------

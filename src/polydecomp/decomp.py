@@ -21,8 +21,10 @@ whole split is O(n^2).
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from itertools import chain, count
 
 from .approot import approx_root
+from .domain import Domain, check_variable
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
 
@@ -31,12 +33,23 @@ OUTER_VARIABLE = "t"
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The parts of p = h(q) + r, with h in variable ``OUTER_VARIABLE``."""
+    """The parts of p = h(q) + r.  h is in variable ``OUTER_VARIABLE``,
+    or, when p's coefficients already use that name, in the first of
+    t1, t2, ... that they do not."""
 
     h: Poly
     q: Poly
     r: Poly
     d: int
+
+
+def _outer_variable(domain: Domain) -> str:
+    for name in chain([OUTER_VARIABLE], (f"{OUTER_VARIABLE}{i}" for i in count(1))):
+        try:
+            check_variable(domain, name)
+        except ValueError:
+            continue
+        return name
 
 
 def decompose(p: Poly, d: int) -> Decomposition:
@@ -65,7 +78,8 @@ def decompose(p: Poly, d: int) -> Decomposition:
         h[i // m] = c
         found.append(i // m)
         h_found.append(c)
-    return Decomposition(Poly._of(domain, OUTER_VARIABLE, h), q, Poly._of(domain, var, r), d)
+    h = Poly._of(domain, _outer_variable(domain), h)
+    return Decomposition(h, q, Poly._of(domain, var, r), d)
 
 
 @dataclass(frozen=True)

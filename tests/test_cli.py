@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import polydecomp
+from polydecomp import cli
 from polydecomp import Element, Poly, PolyDecompError, PrimeField, Rationals, polynomial_tower
 from polydecomp.cli import (
     MAX_DEGREE,
@@ -24,7 +25,7 @@ from polydecomp.cli import (
     parse_poly,
     poly_to_json,
 )
-from polydecomp.decomp import ConditionReport
+from polydecomp.decomp import ConditionReport, decompose
 from polydecomp.errors import (
     ConstantTooLarge,
     DegreeTooLarge,
@@ -161,6 +162,44 @@ def test_parse_coefficient_size_is_bounded():
         assert info.value.position == position, text
     # residues stay small, so GF(p) never reaches the bound
     assert parse_poly("(2^10000)^10000", PrimeField(7), ["x"]).coeff(0).value == 2
+
+
+# the error line of each monomial-shaped bad input, as the single-pass
+# parser printed it
+PINNED_ERROR_LINES = [
+    ("3*x^", "Q", "ParseError: expected 'number', found 'end of input' (at position 4)"),
+    ("3*x^y", "Q", "ParseError: expected 'number', found 'y' (at position 4)"),
+    ("x^10001", "Q", "ParseError: exponent 10001 is too large (at position 2)"),
+    ("2*x^6000*x^5000", "Q", "DegreeTooLarge: degree 11000 is above the bound 10000 (at position 8)"),
+    ("7/5*x", "gf:5", "DivisionByZeroLiteral: denominator 5 is zero in GF(5) (at position 2)"),
+    ("1/0*x", "Q", "DivisionByZeroLiteral: denominator is zero (at position 2)"),
+    ("3*w", "Q", "UnknownVariable: unknown variable 'w' (at position 2)"),
+    ("2x", "Q", "ParseError: unexpected 'x' (at position 1)"),
+    # the one intended change: syntax is checked before any arithmetic,
+    # so the unexpected 'y' wins over the ConstantTooLarge of the power,
+    # which the single-pass parser reported at position 8
+    ("(2^1000)^10000y", "Q", "ParseError: unexpected 'y' (at position 14)"),
+]
+
+
+@pytest.mark.parametrize("text, field, line", PINNED_ERROR_LINES)
+def test_parse_error_lines_are_pinned(capsys, text, field, line):
+    assert run_cli(capsys, "root", "--d", "2", "--field", field, "--", text) == (
+        1, "", f"error: {line}\n"
+    )
+
+
+def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
+    products = []
+    real = cli.product
+    monkeypatch.setattr(cli, "product", lambda *args: products.append(args) or real(*args))
+    with pytest.raises(ParseError) as info:
+        parse_poly("(x+1)^3000y", PrimeField(1000003), ["x"])
+    assert info.value.position == 10
+    assert products == []
+    # the same power, well formed, does go through product
+    parse_poly("(x+1)^3", PrimeField(1000003), ["x"])
+    assert products
 
 
 def test_parse_unknown_variable():
@@ -373,6 +412,25 @@ def test_cli_decompose_json(capsys):
     order = ["monic", "degree_bound", "index_condition", "reconstruction"]
     assert list(obj["conditions"]) == order
     assert [f.name for f in dataclasses.fields(ConditionReport)] == order
+
+
+def test_cli_decompose_outer_variable_avoids_the_tower(capsys):
+    """h's variable is t unless the coefficients use t, and then the
+    first of t1, t2, ... that they do not, so the text of h re-parses."""
+    text = "x^4 + t*x^2 + 1"
+    code, out, _ = run_cli(capsys, "decompose", text, "--d", "2", "--vars", "x,t")
+    assert code == 0
+    assert out.splitlines() == ["h = t1^2 + (-1/4*t^2 + 1)", "Q = x^2 + (1/2*t)", "R = 0"]
+    h = decompose(parse_poly(text, QQ, ["x", "t"]), 2).h
+    assert parse_poly(out.splitlines()[0][4:], QQ, ["t1", "t"]) == h
+    code, out, _ = run_cli(capsys, "decompose", text, "--d", "2", "--vars", "x,t,t1", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["h"]["var"] == "t2"
+    assert obj["conditions"]["reconstruction"] is True
+    # no t in the tower: t as before
+    code, out, _ = run_cli(capsys, "decompose", "x^4 + y*x^2 + 1", "--d", "2", "--vars", "x,y")
+    assert out.splitlines()[0] == "h = t^2 + (-1/4*y^2 + 1)"
 
 
 def test_cli_check_yes(capsys):

@@ -379,8 +379,31 @@ def parser_cases(draw):
     return field, names, main, draw(_trees(names))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(parser_cases())
+@st.composite
+def expanded_sums(draw):
+    """The shape every workload sends: sums of c*x^a*y^b.  Terms may
+    repeat a variable (x*x^2), have a zero literal (0*x^3), x^0 or two
+    literals (2*3*x), and the first factor may carry a leading '-'."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    names = ["x", "y"]
+    factor = st.one_of(
+        st.tuples(st.just("lit"), st.integers(0, 20), st.integers(1, 6)),
+        st.tuples(st.just("^"), st.tuples(st.just("var"), st.sampled_from(names)), st.integers(0, 300)),
+        st.tuples(st.just("var"), st.sampled_from(names)),
+    )
+    tree = None
+    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=4), min_size=1, max_size=8)):
+        term = factors[0]
+        if draw(st.booleans()):
+            term = ("neg", term)
+        for f in factors[1:]:
+            term = ("*", term, f)
+        tree = term if tree is None else (draw(st.sampled_from("+-")), tree, term)
+    return field, names, draw(st.sampled_from(names)), tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(parser_cases(), expanded_sums()))
 def test_parser_equals_dense_evaluation(case):
     field, names, main, tree = case
     text, _ = _render(tree)
