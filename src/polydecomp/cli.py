@@ -145,8 +145,9 @@ class _Parser:
     a leaf's are its key).  A term of leaves, at most one of them not a
     variable power, is one leaf.  Pass 2, ``evaluate``, raises only
     ConstantTooLarge: it computes maps {key: raw ground value} without
-    zero values with the field's hooks (sparse.py), in place, since a
-    map belongs to the node that returned it.
+    zero values, sums and negations with the field's hooks, in place,
+    since a map belongs to the node that returned it, and products on
+    integer numerators (sparse.py).
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
@@ -306,7 +307,7 @@ class _Parser:
         for factor, pos in zip(factors[1:], stars):
             rhs = self.evaluate(factor)
             _check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), pos)
-            terms = product(terms, rhs, field)
+            terms = product([(terms, rhs)], field)
         return terms
 
     def power(self, a: dict, e: int) -> dict:
@@ -316,10 +317,10 @@ class _Parser:
         result = {self.constant: self.one}
         while e:
             if e & 1:
-                result = product(result, a, self.field)
+                result = product([(result, a)], self.field)
             e >>= 1
             if e:
-                a = product(a, a, self.field)
+                a = product([(a, a)], self.field)
         return result
 
 

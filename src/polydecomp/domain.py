@@ -116,10 +116,12 @@ class Domain:
     the domain is made; ``zero`` and ``one`` wrap them.
 
     A Poly stores raw values and computes with these hooks and with the
-    two list kernels of each subclass, _mul_lists and _dot: the fields
-    loop over plain ints, towers make one pass over a sparse map of
-    ground terms (sparse.py).  The kernels trust their values to be
-    canonical values of this domain.
+    two list kernels of each subclass, _mul_lists and _dot.  Both sum
+    int products of numerators over one common denominator and divide
+    each output term once (_ratio: a Fraction over Q, mod p over GF(p));
+    towers do so on sparse maps of ground terms and nest the result back
+    one level at a time, innermost first (sparse.py).  The kernels trust
+    their values to be canonical values of this domain.
     """
 
     is_field = False
@@ -205,6 +207,9 @@ class Rationals(Domain):
         den = da * db
         return [Fraction(c, den) for c in out]
 
+    def _ratio(self, num: int, den: int):
+        return Fraction(num, den)
+
     def _dot(self, xs, ys):
         dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
         den = lcm(*dens)
@@ -276,6 +281,10 @@ class PrimeField(Domain):
             raise NotInvertible(f"{a} is not invertible modulo {self.p}")
         return pow(a, self.p - 2, self.p)
 
+    def _ratio(self, num: int, den: int):
+        # den is 1 when num and den come from residues
+        return num % self.p if den == 1 else num * self._invert(den) % self.p
+
     # delayed reduction: sums of products are plain ints, reduced once
     def _mul_lists(self, a, b):
         p = self.p
@@ -342,20 +351,18 @@ class PolynomialRing(Domain):
             raise NotInvertible("only nonzero constants are invertible here")
         return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
 
-    # one map of ground terms per operand, one pass of ground arithmetic
+    # one map of ground terms per operand, one pass of int arithmetic
     def _mul_lists(self, a, b):
-        from .sparse import add_product, flatten, nest
+        from .sparse import flatten, nest, product
 
-        terms = add_product({}, flatten(self, a), flatten(self, b), self._ground)
+        terms = product([(flatten(self, a), flatten(self, b))], self._ground)
         return nest(terms, self, len(a) + len(b) - 1)
 
     def _dot(self, xs, ys):
-        from .sparse import add_product, flatten, nest
+        from .sparse import flatten, nest, product
 
-        terms: dict = {}
-        for x, y in zip(xs, ys):
-            add_product(terms, flatten(self, (x,)), flatten(self, (y,)), self._ground)
-        return nest(terms, self, 1)[0]
+        pairs = [(flatten(self, (x,)), flatten(self, (y,))) for x, y in zip(xs, ys)]
+        return nest(product(pairs, self._ground), self, 1)[0]
 
     def __str__(self):
         return f"{self.base}[{self.variable}]"

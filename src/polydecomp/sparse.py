@@ -2,13 +2,14 @@
 
 A key is a main index, for the parser the main variable's exponent and
 for the tower kernels a list position, then each tower level's exponent,
-outermost first.  Values combine through the ground field's hooks, after
-SymPy's ``PolyElement.__mul__``: a tower product is one pass of ground
-arithmetic, with no Poly operation on any level in between.
+outermost first.  Sums combine values with the ground field's hooks;
+a product is one pass of int arithmetic on numerators, after SymPy's
+``PolyElement.__mul__``, with no Poly operation on any tower level.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add
 
 from .domain import Domain, PolynomialRing
@@ -38,20 +39,27 @@ def merge(a: dict, b: dict, field: Domain) -> dict:
     return a
 
 
-def add_product(out: dict, a: dict, b: dict, field: Domain) -> dict:
-    """out + a * b, in place; terms that cancel stay as zero values."""
-    plus, times = field._add, field._mul
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(map(add, ka, kb))
-            old = out.get(key)
-            out[key] = times(va, vb) if old is None else plus(old, times(va, vb))
-    return out
+def product(pairs: list, field: Domain) -> dict:
+    """The sum of a * b over the (a, b) pairs of maps, with no zero value.
 
-
-def product(a: dict, b: dict, field: Domain) -> dict:
-    """a * b with no zero value."""
-    return {key: value for key, value in add_product({}, a, b, field).items() if value}
+    All the a maps go over one common denominator, the lcm of their
+    values' denominators, and all the b maps over another; a residue
+    int has denominator 1.  The numerators multiply as plain ints, and
+    each output term becomes a ground value once, by ``field._ratio``.
+    """
+    da = lcm(*(v.denominator for a, _ in pairs for v in a.values()))
+    db = lcm(*(v.denominator for _, b in pairs for v in b.values()))
+    out: dict = {}
+    get = out.get
+    for a, b in pairs:
+        b = [(kb, vb.numerator * (db // vb.denominator)) for kb, vb in b.items()]
+        for ka, va in a.items():
+            va = va.numerator * (da // va.denominator)
+            for kb, vb in b:
+                key = tuple(map(add, ka, kb))
+                out[key] = get(key, 0) + va * vb
+    den, ratio = da * db, field._ratio
+    return {key: value for key, num in out.items() if num and (value := ratio(num, den))}
 
 
 def flatten(domain: Domain, values) -> dict:
@@ -63,19 +71,29 @@ def flatten(domain: Domain, values) -> dict:
     return terms
 
 
-def nest(terms: dict, domain: Domain, length: int | None = None) -> list:
-    """The list of raw values of ``domain`` with the given ground terms,
-    of which zero values vanish; ``length`` defaults to one past the
-    largest index."""
-    if isinstance(domain, PolynomialRing):
-        groups: dict = {}
-        for key, value in terms.items():
-            groups.setdefault(key[0], {})[key[1:]] = value
-        base, variable = domain.base, domain.variable
-        terms = {i: Poly._of(base, variable, nest(sub, base)) for i, sub in groups.items()}
-    else:
-        terms = {key[0]: value for key, value in terms.items()}
-    out = [domain._zero] * (max(terms, default=-1) + 1 if length is None else length)
+def _dense(terms: dict, zero, length: int | None = None) -> list:
+    """The list with terms {index: value}, zero elsewhere."""
+    out = [zero] * (max(terms, default=-1) + 1 if length is None else length)
     for i, value in terms.items():
         out[i] = value
     return out
+
+
+def nest(terms: dict, domain: Domain, length: int | None = None) -> list:
+    """The list of raw values of ``domain`` with the given ground terms,
+    none of them zero; ``length`` defaults to one past the largest index.
+
+    Built bottom-up: each tower level, innermost first, groups the keys
+    by all but their last exponent once and makes one Poly per group.
+    """
+    rings, ring = [], domain
+    while isinstance(ring, PolynomialRing):
+        rings.append(ring)
+        ring = ring.base
+    for ring in reversed(rings):
+        groups: dict = {}
+        for key, value in terms.items():
+            groups.setdefault(key[:-1], {})[key[-1]] = value
+        base, variable, zero = ring.base, ring.variable, ring.base._zero
+        terms = {prefix: Poly._of(base, variable, _dense(group, zero)) for prefix, group in groups.items()}
+    return _dense({i: value for (i,), value in terms.items()}, domain._zero, length)

@@ -25,12 +25,14 @@ from polydecomp import (
     variety_equations,
 )
 from polydecomp.cli import parse_poly
+from polydecomp.sparse import flatten, nest
 from support import (
     SympyTower,
     approx_root_by_powers,
     assert_canonical_poly,
     decompose_by_peeling,
     monomial,
+    rand_element,
     rand_poly,
     schoolbook_compose,
     schoolbook_product,
@@ -52,8 +54,10 @@ def _elements(domain):
         return st.integers(0, domain.p - 1).map(domain.element)
     if domain == QQ:
         return st.fractions(-9, 9, max_denominator=9).map(domain.element)
+    # over QQ the ground values are fractions too, so one list mixes
+    # denominators such as 2, 3 and 9
     base = domain.base
-    coeffs = st.lists(st.integers(-9, 9) if base == QQ else _elements(base), max_size=3)
+    coeffs = st.lists(_elements(base), max_size=3)
     return coeffs.map(lambda cs: domain.element(Poly(base, domain.variable, cs)))
 
 
@@ -203,23 +207,80 @@ def test_tower_kernels_equal_sympy(domain, data):
     check([domain._dot(a[:n], b[:n])], dot)
 
 
+def test_tower_dot_cancels_to_zero():
+    """A dot whose terms cancel, over sides with denominators 2, 3, 5
+    and 5, 1: the sum of the integer numerators is 0 in every term."""
+    y, z = QQYZ.generator("y"), QQYZ.generator("z")
+
+    def c(num, den):
+        return QQYZ.element(Fraction(num, den))
+
+    xs = [c(1, 2) * y + c(1, 3) * z, c(1, 5) * z]
+    ys = [c(6, 5) * z, c(-3, 1) * y - c(2, 1) * z]  # 3/5*yz + 2/5*z^2, then its negative
+    dot = QQYZ._dot([x.value for x in xs], [v.value for v in ys])
+    assert dot == QQYZ._zero and not dot
+    assert QQYZ._dot([xs[0].value], [ys[0].value]) == (xs[0] * ys[0]).value
+    # with ys reversed, the product's middle coefficient is that dot
+    product = QQYZ._mul_lists([x.value for x in xs], [v.value for v in reversed(ys)])
+    assert len(product) == 3 and product[1] == QQYZ._zero
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [polynomial_tower(PrimeField(7), ["a", "b", "c"]), polynomial_tower(QQ, [f"a{k}" for k in range(1, 13)])],
+    ids=str,
+)
+def test_nest_inverts_flatten_on_deep_towers(domain):
+    """nest(flatten(...)) gives back a list of tower values, zeros
+    inside and at the end included, with every value canonical."""
+    rng = random.Random(14)
+    ring, levels = domain, []
+    while isinstance(ring, PolynomialRing):
+        levels.append(ring.variable)
+        ring = ring.base
+    values = [rand_element(rng, domain).value for _ in range(6)]
+    values += [
+        domain._zero,
+        domain.element(Fraction(3, 5)).value,  # a constant at the bottom of the chain
+        domain.generator(levels[-1]).value,  # the innermost variable
+        (domain.generator(levels[0]) * domain.generator(levels[-1]) + domain.one).value,
+        domain._zero,
+        domain._zero,
+    ]
+    rng.shuffle(values)
+    values += [domain._zero] * 2  # longer than the last nonzero index
+    terms = flatten(domain, values)
+    assert nest(terms, domain, len(values)) == values
+    for value in nest(terms, domain, len(values)):
+        assert_canonical_poly(value)
+    last = max(i for i, v in enumerate(values) if v)
+    assert nest(terms, domain) == values[: last + 1]
+
+
 def test_tower_operation_counts(monkeypatch):
     """No hidden recursion in towers: decompose over QQ[y][z] and
     variety_equations make exactly d - 1 list products on the top
     level, and the tower kernels make no Poly product or sum on any
-    level."""
+    level and no Fraction sum or product: they multiply integer
+    numerators and make one Fraction per output term."""
     top = [None]
     in_kernels = [0]
-    calls = {"top": 0, "in kernels": 0, "kernels": 0}
-    for name in ("__mul__", "__add__", "__sub__"):
-        original = getattr(Poly, name)
+    calls = {"top": 0, "in kernels": 0, "fraction in kernels": 0, "kernels": 0}
+    for owner, name, counter in (
+        (Poly, "__mul__", "in kernels"),
+        (Poly, "__add__", "in kernels"),
+        (Poly, "__sub__", "in kernels"),
+        (Fraction, "__mul__", "fraction in kernels"),
+        (Fraction, "__add__", "fraction in kernels"),
+    ):
+        original = getattr(owner, name)
 
-        def counted(self, other, _original=original):
+        def counted(self, other, _original=original, _counter=counter):
             if in_kernels[0]:
-                calls["in kernels"] += 1
+                calls[_counter] += 1
             return _original(self, other)
 
-        monkeypatch.setattr(Poly, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for name in ("_mul_lists", "_dot"):
         original = getattr(PolynomialRing, name)
 
@@ -246,6 +307,7 @@ def test_tower_operation_counts(monkeypatch):
     assert calls["top"] == 1
     assert calls["kernels"] > 0
     assert calls["in kernels"] == 0
+    assert calls["fraction in kernels"] == 0
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
