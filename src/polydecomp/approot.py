@@ -19,8 +19,10 @@ one k at a time.  Only the top m + 1 coefficients of P are read, and
 the table costs O(d*m^2) ring operations and no polynomial product;
 the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
 times its number of terms.
-d must be invertible in the domain; nothing else is, so the same
-recurrence serves Q, Q[y]... and GF(p) with p <= m.
+d must be invertible in the domain; nothing else is, so one recurrence
+serves Q, GF(p) with p <= m and towers over them, on the values of
+``sparse.working``: over a tower, only those m + 1 coefficients are
+flattened, and Q is nested once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import reduce
 
 from .errors import DegreeNotDivisible, InvalidOuterDegree, NotMonic
 from .poly import Poly
+from .sparse import working
 
 
 def check_outer_degree(n: int, d, name: str) -> None:
@@ -46,11 +49,12 @@ def approx_root(p: Poly, d: int) -> Poly:
         raise NotMonic("approximate roots are defined for monic polynomials")
     n = p.degree
     check_outer_degree(n, d, "deg(p)")
-    domain = p.domain
-    add, sub, mul, dot = domain._add, domain._sub, domain._mul, domain._dot
-    inv_d = domain._invert_integer(d)
+    work, into, out = working(p.domain)
+    add, sub, mul, dot = work._add, work._sub, work._mul, work._dot
+    inv_d = work._invert_integer(d)
     m = n // d
-    zero, one = domain._zero, domain._one
+    top = into(p.values[n - m :])  # a_k is top[m - k]
+    zero, one = work._zero, work._one
     b = [one]
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
     b_nonzero = []  # b_i for those i
@@ -59,7 +63,7 @@ def approx_root(p: Poly, d: int) -> Poly:
     for k in range(1, m + 1):
         # rest_1 = 0, and rest_(j+1) is read off row j
         rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
-        b_k = mul(sub(p.values[n - k], reduce(add, rests)), inv_d)
+        b_k = mul(sub(top[m - k], reduce(add, rests)), inv_d)
         b.append(b_k)
         if b_k:
             nonzero.append(k)
@@ -67,4 +71,4 @@ def approx_root(p: Poly, d: int) -> Poly:
         below = zero
         for row, rest in zip(rows, rests):
             row[k] = below = add(add(below, b_k), rest)
-    return Poly._of(domain, p.variable, b[::-1])
+    return Poly._of(p.domain, p.variable, out(b[::-1]))

@@ -15,7 +15,9 @@ j*m > i.  A nonzero c goes to h as c*t^(i/m) when m divides i, since
 q^(i/m) is monic; otherwise it goes to r as c*x^i.  The powers q^2 ..
 q^d cost d - 1 list products, O(n^2) ring operations for n = deg p,
 and each coefficient one dot product over at most d - 1 terms, so the
-whole split is O(n^2).
+whole split is O(n^2).  Over a tower it runs on flat maps of ground
+terms (``sparse.working``): p and q are flattened once, h and r nested
+once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .approot import approx_root
 from .domain import Domain, check_variable
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
+from .sparse import working
 
 OUTER_VARIABLE = "t"
 
@@ -56,20 +59,21 @@ def decompose(p: Poly, d: int) -> Decomposition:
     """Split monic p into h(q) + r; see the module docstring for the shape."""
     q = approx_root(p, d)
     domain, var = p.domain, p.variable
+    work, into, out = working(domain)
     m = q.degree
-    powers = [[domain._one], q.values]  # q^j as raw values, j = 0 .. d
+    powers = [[work._one], into(q.values)]  # q^j, j = 0 .. d
     for _ in range(d - 1):
-        powers.append(domain._mul_lists(powers[-1], q.values))
+        powers.append(work._mul_lists(powers[-1], powers[1]))
     # p and q^d are both monic of degree n
-    e = list(map(domain._sub, p.values, powers[d]))
-    h = [domain._zero] * d + [domain._one]
-    r = [domain._zero] * len(e)
+    e = list(map(work._sub, into(p.values), powers[d]))
+    h = [work._zero] * d + [work._one]
+    r = [work._zero] * len(e)
     found = []  # the j < d with h_j != 0, the only terms of a dot
     h_found = []  # h_j for those j
     for i in range(len(e) - 1, -1, -1):
         c = e[i]
         if found:
-            c = domain._sub(c, domain._dot(h_found, [powers[j][i] for j in found]))
+            c = work._sub(c, work._dot(h_found, [powers[j][i] for j in found]))
         if not c:
             continue
         if i % m:
@@ -78,8 +82,8 @@ def decompose(p: Poly, d: int) -> Decomposition:
         h[i // m] = c
         found.append(i // m)
         h_found.append(c)
-    h = Poly._of(domain, _outer_variable(domain), h)
-    return Decomposition(h, q, Poly._of(domain, var, r), d)
+    h = Poly._of(domain, _outer_variable(domain), out(h))
+    return Decomposition(h, q, Poly._of(domain, var, out(r)), d)
 
 
 @dataclass(frozen=True)

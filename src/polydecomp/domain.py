@@ -118,10 +118,12 @@ class Domain:
     A Poly stores raw values and computes with these hooks and with the
     two list kernels of each subclass, _mul_lists and _dot.  Both sum
     int products of numerators over one common denominator and divide
-    each output term once (_ratio: a Fraction over Q, mod p over GF(p));
-    towers do so on sparse maps of ground terms and nest the result back
-    one level at a time, innermost first (sparse.py).  The kernels trust
-    their values to be canonical values of this domain.
+    each output term once (_ratio: a Fraction over Q, mod p over GF(p)).
+    approx_root and decompose run on a field's own hooks and values.  A
+    tower's values are Polys one level down, so its kernels, approx_root
+    and decompose flatten them into maps of ground terms once, compute
+    with the flat hooks of ``sparse.Flat`` and nest the result once.
+    The kernels trust their values to be canonical values of this domain.
     """
 
     is_field = False
@@ -351,18 +353,18 @@ class PolynomialRing(Domain):
             raise NotInvertible("only nonzero constants are invertible here")
         return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
 
-    # one map of ground terms per operand, one pass of int arithmetic
+    # the flat hooks, between one flattening and one nesting (sparse.Flat)
     def _mul_lists(self, a, b):
-        from .sparse import flatten, nest, product
+        from .sparse import Flat
 
-        terms = product([(flatten(self, a), flatten(self, b))], self._ground)
-        return nest(terms, self, len(a) + len(b) - 1)
+        flat = Flat(self)
+        return flat.out(flat._mul_lists(flat.into(a), flat.into(b)))
 
     def _dot(self, xs, ys):
-        from .sparse import flatten, nest, product
+        from .sparse import Flat
 
-        pairs = [(flatten(self, (x,)), flatten(self, (y,))) for x, y in zip(xs, ys)]
-        return nest(product(pairs, self._ground), self, 1)[0]
+        flat = Flat(self)
+        return flat.out([flat._dot(flat.into(xs), flat.into(ys))])[0]
 
     def __str__(self):
         return f"{self.base}[{self.variable}]"

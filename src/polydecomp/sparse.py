@@ -1,10 +1,13 @@
 """Sparse polynomials as maps {exponent tuple: raw ground value}.
 
 A key is a main index, for the parser the main variable's exponent and
-for the tower kernels a list position, then each tower level's exponent,
-outermost first.  Sums combine values with the ground field's hooks;
-a product is one pass of int arithmetic on numerators, after SymPy's
-``PolyElement.__mul__``, with no Poly operation on any tower level.
+for a list of tower values a list position, then each tower level's
+exponent, outermost first.  Sums combine values with the ground field's
+hooks; a product is one pass of int arithmetic on numerators, after
+SymPy's ``PolyElement.__mul__``, with no Poly operation on any tower
+level.  ``Flat`` gives a tower one such map per value, so that
+approx_root, decompose and the tower's list kernels flatten their
+operands once, compute on maps alone and nest their result once.
 """
 
 from __future__ import annotations
@@ -97,3 +100,64 @@ def nest(terms: dict, domain: Domain, length: int | None = None) -> list:
         base, variable, zero = ring.base, ring.variable, ring.base._zero
         terms = {prefix: Poly._of(base, variable, _dense(group, zero)) for prefix, group in groups.items()}
     return _dense({i: value for (i,), value in terms.items()}, domain._zero, length)
+
+
+def _split(terms: dict, length: int) -> list:
+    """One map {level exponents: value} per main index of ``terms``."""
+    maps: list = [{} for _ in range(length)]
+    for key, value in terms.items():
+        maps[key[0]][key[1:]] = value
+    return maps
+
+
+def _join(maps: list) -> dict:
+    return {(i, *key): value for i, terms in enumerate(maps) for key, value in terms.items()}
+
+
+class Flat:
+    """A tower ring's values as flat maps {level exponents: ground value}
+    with no zero value, so that the empty map is zero and false: the
+    hooks of approx_root and decompose over a tower, and the tower's
+    list kernels.  Sums ``merge``, products are one ``product``; no hook
+    makes a Poly or changes its operands.  ``into`` and ``out`` map a
+    list of the ring's values to flat maps and back."""
+
+    def __init__(self, ring: PolynomialRing):
+        self.ring, self.field = ring, ring._ground
+        self._zero, (self._one,) = {}, self.into((ring._one,))
+
+    def into(self, values) -> list:
+        return _split(flatten(self.ring, values), len(values))
+
+    def out(self, maps: list) -> list:
+        return nest(_join(maps), self.ring, len(maps))
+
+    def _add(self, a: dict, b: dict) -> dict:
+        if len(a) < len(b):
+            a, b = b, a
+        return merge(dict(a), b, self.field)
+
+    def _sub(self, a: dict, b: dict) -> dict:
+        return merge(dict(a), negate(dict(b), self.field), self.field)
+
+    def _mul(self, a: dict, b: dict) -> dict:
+        return product([(a, b)], self.field)
+
+    def _dot(self, xs: list, ys: list) -> dict:
+        return product(list(zip(xs, ys)), self.field)
+
+    def _mul_lists(self, a: list, b: list) -> list:
+        return _split(product([(_join(a), _join(b))], self.field), len(a) + len(b) - 1)
+
+    def _invert_integer(self, m: int) -> dict:
+        return {key: self.field._invert_integer(m) for key in self._one}
+
+
+def working(domain: Domain):
+    """(hooks, into, out): the hooks approx_root and decompose compute
+    with over ``domain`` and the maps of a list of its values into them
+    and back, a field's own raw values or a tower's flat maps."""
+    if isinstance(domain, PolynomialRing):
+        flat = Flat(domain)
+        return flat, flat.into, flat.out
+    return domain, list, list

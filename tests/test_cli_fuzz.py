@@ -45,7 +45,7 @@ def poly_argv(draw):
         command,
         "--d", draw(st.sampled_from(["-1", "0", "2", "3", "4"])),
         "--field", draw(st.sampled_from(["Q", "gf:2", "gf:5"])),
-        "--vars", draw(st.sampled_from(["x", "x,y", "y,x"])),
+        "--vars", draw(st.sampled_from(["x", "x,y", "y,x", "x,y,z"])),
     ]
     if draw(st.booleans()):
         argv.append("--json")

@@ -6,6 +6,7 @@ derandomized, so tier-1 draws the same cases, in the same time, on
 every run."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
 
@@ -25,7 +26,7 @@ from polydecomp import (
     variety_equations,
 )
 from polydecomp.cli import parse_poly
-from polydecomp.sparse import flatten, nest
+from polydecomp.sparse import Flat, flatten, nest
 from support import (
     SympyTower,
     approx_root_by_powers,
@@ -257,57 +258,102 @@ def test_nest_inverts_flatten_on_deep_towers(domain):
     assert nest(terms, domain) == values[: last + 1]
 
 
+@pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
+@settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(data=st.data())
+def test_flat_hooks_equal_nested_arithmetic(domain, data):
+    """Each hook of a tower's flat maps, nested back, against the Poly
+    arithmetic on the nested values; and into/out round-trip a list
+    with zeros inside and at its end."""
+    flat = Flat(domain)
+    values = _elements(domain).map(attrgetter("value"))
+    a, b = (data.draw(st.lists(values, min_size=1, max_size=5)) for _ in range(2))
+    a.insert(data.draw(st.integers(0, len(a))), domain._zero)
+    b += [domain._zero] * data.draw(st.integers(0, 2))
+    fa, fb = flat.into(a), flat.into(b)
+    assert flat.out(fa) == a and flat.out(fb) == b
+    assert flat.out([flat._zero, flat._one]) == [domain._zero, domain._one]
+    for i, x in enumerate(a):
+        y = b[i % len(b)]
+        fx, fy = fa[i], fb[i % len(b)]
+        assert flat.out([flat._add(fx, fy)]) == [x + y]
+        assert flat.out([flat._sub(fx, fy)]) == [x - y]
+        assert flat.out([flat._sub(fx, fx)]) == [domain._zero]
+        assert flat.out([flat._mul(fx, fy)]) == [x * y]
+    assert fa == flat.into(a)  # no hook changed its operands
+    product = [domain._zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] = product[i + j] + x * y
+    assert flat.out(flat._mul_lists(fa, fb)) == product
+    n = min(len(a), len(b))
+    dot = domain._zero
+    for x, y in zip(a, b):
+        dot = dot + x * y
+    assert flat.out([flat._dot(fa[:n], fb[:n])]) == [dot]
+    d = data.draw(st.sampled_from([2, 3, 5]))
+    assert flat.out([flat._invert_integer(d)]) == [domain._invert_integer(d)]
+
+
 def test_tower_operation_counts(monkeypatch):
-    """No hidden recursion in towers: decompose over QQ[y][z] and
-    variety_equations make exactly d - 1 list products on the top
-    level, and the tower kernels make no Poly product or sum on any
-    level and no Fraction sum or product: they multiply integer
-    numerators and make one Fraction per output term."""
-    top = [None]
-    in_kernels = [0]
-    calls = {"top": 0, "in kernels": 0, "fraction in kernels": 0, "kernels": 0}
-    for owner, name, counter in (
-        (Poly, "__mul__", "in kernels"),
-        (Poly, "__add__", "in kernels"),
-        (Poly, "__sub__", "in kernels"),
-        (Fraction, "__mul__", "fraction in kernels"),
-        (Fraction, "__add__", "fraction in kernels"),
+    """No hidden recursion in towers.  While decompose (and with it
+    approx_root) runs over QQ[y][z] there is no Poly sum, difference,
+    negation or product on any level and no Fraction product; Fractions
+    are added only where a flat sum meets two ground terms with one key.
+    decompose makes exactly the d - 1 flat list products of q^2 .. q^d,
+    and variety_equations(10, 2) one.  The flat products, and the tower
+    kernels behind Poly.__mul__, add no Fraction either: they multiply
+    integer numerators and make one Fraction per output term."""
+    context = []  # the labels of the wrapped calls now running
+    ops = Counter()  # (operation, innermost label) -> calls
+    for owner, names in (
+        (Poly, ("__add__", "__sub__", "__neg__", "__mul__")),
+        (Fraction, ("__add__", "__sub__", "__mul__")),
     ):
-        original = getattr(owner, name)
+        for name in names:
+            original = getattr(owner, name)
 
-        def counted(self, other, _original=original, _counter=counter):
-            if in_kernels[0]:
-                calls[_counter] += 1
-            return _original(self, other)
+            def counted(*args, _original=original, _op=f"{owner.__name__}.{name}"):
+                ops[_op, context[-1] if context else None] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(owner, name, counted)
-    for name in ("_mul_lists", "_dot"):
-        original = getattr(PolynomialRing, name)
+            monkeypatch.setattr(owner, name, counted)
+    for owner, names, label in (
+        (Flat, ("_add", "_sub"), "sum"),
+        (Flat, ("_mul", "_dot", "_mul_lists"), "flat product"),
+        (PolynomialRing, ("_mul_lists", "_dot"), "tower kernel"),
+    ):
+        for name in names:
+            original = getattr(owner, name)
 
-        def kernel(self, *args, _name=name, _original=original):
-            calls["kernels"] += 1
-            if _name == "_mul_lists" and self == top[0]:
-                calls["top"] += 1
-            in_kernels[0] += 1
-            try:
-                return _original(self, *args)
-            finally:
-                in_kernels[0] -= 1
+            def labelled(*args, _original=original, _label=label, _name=name):
+                ops[_label, _name] += 1
+                context.append(_label)
+                try:
+                    return _original(*args)
+                finally:
+                    context.pop()
 
-        monkeypatch.setattr(PolynomialRing, name, kernel)
+            monkeypatch.setattr(owner, name, labelled)
+
+    def assert_flat(run, list_products):
+        ops.clear()
+        run()
+        assert ops["flat product", "_mul_lists"] == list_products
+        assert ops["sum", "_sub"] > 0
+        assert not [op for op in ops if op[0].startswith("Poly.")]
+        assert set(op for op in ops if op[0].startswith("Fraction.")) <= {("Fraction.__add__", "sum")}
+
     rng = random.Random(11)
     for d in (2, 3, 4):
         p = rand_poly(rng, QQYZ, "x", 3 * d, monic=True)
-        top[0], calls["top"] = QQYZ, 0
-        decompose(p, d)
-        assert calls["top"] == d - 1, d
-    top[0] = polynomial_tower(QQ, [f"a{k}" for k in range(1, 11)])
-    calls["top"] = 0
-    variety_equations(10, 2)
-    assert calls["top"] == 1
-    assert calls["kernels"] > 0
-    assert calls["in kernels"] == 0
-    assert calls["fraction in kernels"] == 0
+        assert_flat(lambda: decompose(p, d), d - 1)
+    assert_flat(lambda: variety_equations(10, 2), 1)
+    ops.clear()
+    p * p
+    QQYZ._dot(list(p.values), list(p.values))
+    assert ops["tower kernel", "_mul_lists"] > 0 and ops["tower kernel", "_dot"] == 1
+    assert not [op for op in ops if op[1] in ("tower kernel", "flat product")]
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
