@@ -20,9 +20,10 @@ the table costs O(d*m^2) ring operations and no polynomial product;
 the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
 times its number of terms.
 d must be invertible in the domain; nothing else is, so one recurrence
-serves Q, GF(p) with p <= m and towers over them, on the values of
-``sparse.working``: over a tower, only those m + 1 coefficients are
-flattened, and Q is nested once.
+serves Q, GF(p) with p <= m and towers over them.  ``root`` runs it on
+working values (``sparse.working``) and returns Q's, which decompose
+uses as they are; over a tower, ``approx_root`` flattens only the top
+m + 1 coefficients of P and nests Q once.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ def check_outer_degree(n: int, d, name: str) -> None:
         raise DegreeNotDivisible(f"{d} does not divide {name} = {n}")
 
 
-def approx_root(p: Poly, d: int) -> Poly:
-    """The unique monic q with deg(p - q**d) < deg(p) - deg(p)//d."""
+def check_root(p: Poly, d: int) -> None:
+    """The requirements on p and d of approx_root and decompose."""
     if not p.is_monic:
         raise NotMonic("approximate roots are defined for monic polynomials")
-    n = p.degree
-    check_outer_degree(n, d, "deg(p)")
-    work, into, out = working(p.domain)
+    check_outer_degree(p.degree, d, "deg(p)")
+
+
+def root(work, top: list, d: int) -> list:
+    """Q's working values from those of P's top coefficients, a_k = top[m - k]."""
     add, sub, mul, dot = work._add, work._sub, work._mul, work._dot
     inv_d = work._invert_integer(d)
-    m = n // d
-    top = into(p.values[n - m :])  # a_k is top[m - k]
+    m = len(top) - 1
     zero, one = work._zero, work._one
     b = [one]
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
@@ -71,4 +73,12 @@ def approx_root(p: Poly, d: int) -> Poly:
         below = zero
         for row, rest in zip(rows, rests):
             row[k] = below = add(add(below, b_k), rest)
-    return Poly._of(p.domain, p.variable, out(b[::-1]))
+    return b[::-1]
+
+
+def approx_root(p: Poly, d: int) -> Poly:
+    """The unique monic q with deg(p - q**d) < deg(p) - deg(p)//d."""
+    check_root(p, d)
+    work, into, out = working(p.domain)
+    n = p.degree
+    return Poly._of(p.domain, p.variable, out(root(work, into(p.values[n - n // d :]), d)))

@@ -10,10 +10,10 @@ variable is a composition h(q) with h over K alone exactly when r
 vanishes *and* every coefficient of h is a constant of K; the second
 half is what fails for inputs like x^2 + y.
 
-``variety_equations(n, d)`` runs the same machinery on the generic
-monic polynomial whose coefficients are fresh indeterminates a1 .. an,
-producing the polynomial conditions on the coefficients that cut out
-the d-decomposable locus.
+``variety_equations(n, d)`` runs the same split on the flat maps of the
+generic monic polynomial whose coefficients are fresh indeterminates
+a1 .. an, and nests only the remainder coefficients: the polynomial
+conditions that cut out the d-decomposable locus.
 
 ``brute_force_decompose`` is an independent exhaustive oracle over a
 prime field, used to cross-check the algebraic route on small inputs.
@@ -25,11 +25,11 @@ import itertools
 from dataclasses import dataclass
 
 from .approot import check_outer_degree
-from .decomp import OUTER_VARIABLE, decompose
+from .decomp import OUTER_VARIABLE, decompose, split
 from .domain import Element, PolynomialRing, PrimeField, Rationals, ground_domain, polynomial_tower
 from .errors import EnumerationTooLarge, NotMonic, NotMonicInMainVar
 from .poly import Poly, descend
-from .sparse import nest
+from .sparse import Flat
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,14 @@ def variety_equations(n: int, d: int) -> VarietySystem:
     check_outer_degree(n, d, "n")
     names = tuple(f"a{k}" for k in range(1, n + 1))
     ground = Rationals()
-    tower = polynomial_tower(ground, names)
+    flat = Flat(polynomial_tower(ground, names))
     # x^i has the coefficient a_(n-i), and the tower's levels run from
     # a_n, so its one ground term has exponent 1 at level i
-    terms = {(i, *[int(j == i) for j in range(n)]): ground._one for i in range(n + 1)}
-    generic = Poly._of(tower, "x", nest(terms, tower))
-    dec = decompose(generic, d)
+    generic = [{tuple(int(j == i) for j in range(n)): ground._one} for i in range(n + 1)]
+    r = split(flat, generic, d)[2]
     m = n // d
     slots = [i for i in range(n - m - 1, 0, -1) if i % m]
-    equations = tuple(dec.r.coeff(i) for i in slots)
+    equations = tuple(Element(flat.ring, value) for value in flat.out([r[i] for i in slots]))
     return VarietySystem(n, d, names, equations)
 
 

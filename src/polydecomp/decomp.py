@@ -15,9 +15,9 @@ j*m > i.  A nonzero c goes to h as c*t^(i/m) when m divides i, since
 q^(i/m) is monic; otherwise it goes to r as c*x^i.  The powers q^2 ..
 q^d cost d - 1 list products, O(n^2) ring operations for n = deg p,
 and each coefficient one dot product over at most d - 1 terms, so the
-whole split is O(n^2).  Over a tower it runs on flat maps of ground
-terms (``sparse.working``): p and q are flattened once, h and r nested
-once.
+whole split is O(n^2).  ``split`` runs it on working values
+(``sparse.working``) with Q's from ``approot.root``: over a tower p is
+flattened once, Q never, and h, q and r are nested once each.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from itertools import chain, count
 
-from .approot import approx_root
+from .approot import check_root, root
 from .domain import Domain, check_variable
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
@@ -55,17 +55,14 @@ def _outer_variable(domain: Domain) -> str:
         return name
 
 
-def decompose(p: Poly, d: int) -> Decomposition:
-    """Split monic p into h(q) + r; see the module docstring for the shape."""
-    q = approx_root(p, d)
-    domain, var = p.domain, p.variable
-    work, into, out = working(domain)
-    m = q.degree
-    powers = [[work._one], into(q.values)]  # q^j, j = 0 .. d
+def split(work, p: list, d: int) -> tuple[list, list, list]:
+    """h, q and r as working values, ascending, from those of monic p."""
+    m = (len(p) - 1) // d
+    powers = [[work._one], root(work, p[-m - 1 :], d)]  # q^j, j = 0 .. d
     for _ in range(d - 1):
         powers.append(work._mul_lists(powers[-1], powers[1]))
     # p and q^d are both monic of degree n
-    e = list(map(work._sub, into(p.values), powers[d]))
+    e = list(map(work._sub, p, powers[d]))
     h = [work._zero] * d + [work._one]
     r = [work._zero] * len(e)
     found = []  # the j < d with h_j != 0, the only terms of a dot
@@ -82,8 +79,17 @@ def decompose(p: Poly, d: int) -> Decomposition:
         h[i // m] = c
         found.append(i // m)
         h_found.append(c)
-    h = Poly._of(domain, _outer_variable(domain), out(h))
-    return Decomposition(h, q, Poly._of(domain, var, out(r)), d)
+    return h, powers[1], r
+
+
+def decompose(p: Poly, d: int) -> Decomposition:
+    """Split monic p into h(q) + r; see the module docstring for the shape."""
+    check_root(p, d)
+    domain, var = p.domain, p.variable
+    work, into, out = working(domain)
+    h, q, r = (out(part) for part in split(work, into(p.values), d))
+    h = Poly._of(domain, _outer_variable(domain), h)
+    return Decomposition(h, Poly._of(domain, var, q), Poly._of(domain, var, r), d)
 
 
 @dataclass(frozen=True)

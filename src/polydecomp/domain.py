@@ -115,14 +115,14 @@ class Domain:
     interchangeable.  The raw ``_zero`` and ``_one`` are set once, when
     the domain is made; ``zero`` and ``one`` wrap them.
 
-    A Poly stores raw values and computes with these hooks and with the
-    two list kernels of each subclass, _mul_lists and _dot.  Both sum
+    A Poly stores raw values and computes with these hooks and with each
+    subclass's list product _mul_lists (a field's also _dot).  Both sum
     int products of numerators over one common denominator and divide
     each output term once (_ratio: a Fraction over Q, mod p over GF(p)).
-    approx_root and decompose run on a field's own hooks and values.  A
-    tower's values are Polys one level down, so its kernels, approx_root
-    and decompose flatten them into maps of ground terms once, compute
-    with the flat hooks of ``sparse.Flat`` and nest the result once.
+    approx_root, decompose and variety_equations compute on working
+    values: a field's own, or a tower's flat maps of ground terms
+    (``sparse.Flat``), into which a Poly argument is flattened once; Q
+    stays flat from root to split, and only results are nested.
     The kernels trust their values to be canonical values of this domain.
     """
 
@@ -312,11 +312,15 @@ class PolynomialRing(Domain):
     variable: str
 
     def __post_init__(self):
+        from .poly import Poly
+
         if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
         check_variable(self.base, self.variable)
         self._ground = ground_domain(self.base)
-        super().__post_init__()
+        # from the base's values: canonicalizing 0 and 1 would descend the tower
+        self._zero = Poly._of(self.base, self.variable, ())
+        self._one = Poly._of(self.base, self.variable, (self.base._one,))
 
     def _canonical(self, value):
         from .poly import Poly
@@ -353,18 +357,12 @@ class PolynomialRing(Domain):
             raise NotInvertible("only nonzero constants are invertible here")
         return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
 
-    # the flat hooks, between one flattening and one nesting (sparse.Flat)
+    # the flat product, between one flattening and one nesting (sparse.Flat)
     def _mul_lists(self, a, b):
         from .sparse import Flat
 
         flat = Flat(self)
         return flat.out(flat._mul_lists(flat.into(a), flat.into(b)))
-
-    def _dot(self, xs, ys):
-        from .sparse import Flat
-
-        flat = Flat(self)
-        return flat.out([flat._dot(flat.into(xs), flat.into(ys))])[0]
 
     def __str__(self):
         return f"{self.base}[{self.variable}]"

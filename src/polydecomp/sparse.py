@@ -5,9 +5,10 @@ for a list of tower values a list position, then each tower level's
 exponent, outermost first.  Sums combine values with the ground field's
 hooks; a product is one pass of int arithmetic on numerators, after
 SymPy's ``PolyElement.__mul__``, with no Poly operation on any tower
-level.  ``Flat`` gives a tower one such map per value, so that
-approx_root, decompose and the tower's list kernels flatten their
-operands once, compute on maps alone and nest their result once.
+level.  ``Flat`` gives a tower one such map per value, the working
+values of its list product, approx_root, decompose and
+variety_equations: p is flattened once, Q is never re-flattened, and
+only results are nested, once each.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def _join(maps: list) -> dict:
 class Flat:
     """A tower ring's values as flat maps {level exponents: ground value}
     with no zero value, so that the empty map is zero and false: the
-    hooks of approx_root and decompose over a tower, and the tower's
-    list kernels.  Sums ``merge``, products are one ``product``; no hook
-    makes a Poly or changes its operands.  ``into`` and ``out`` map a
-    list of the ring's values to flat maps and back."""
+    hooks of approx_root, decompose and variety_equations over a tower,
+    and of the tower's list product.  Sums ``merge``, products are one
+    ``product``; no hook makes a Poly or changes its operands.  ``into``
+    and ``out`` map a list of the ring's values to flat maps and back."""
 
     def __init__(self, ring: PolynomialRing):
         self.ring, self.field = ring, ring._ground

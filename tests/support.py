@@ -182,10 +182,14 @@ def evaluate(p: Poly, point: Element) -> Element:
 
 
 def specialize(el: Element, values: dict) -> Element:
-    """Evaluate a tower element at ground values for its variables.
+    """Evaluate a tower element at values for its variables.
 
-    ``values`` maps every variable occurring in el's tower to an element
-    of the ground domain.  Plain ground elements pass through unchanged.
+    ``values`` maps every variable of el's tower, from the top level
+    down to some level, to an element of the domain under that level,
+    say a ground element lifted there: {"z": QQ[y].element(3)} takes
+    QQ[y][z] to QQ[y], and values for y and z in QQ take it to QQ.
+    Elements of that domain, and plain ground elements, pass through
+    unchanged.
     """
     if not isinstance(el.domain, PolynomialRing):
         return el
@@ -196,7 +200,7 @@ def specialize(el: Element, values: dict) -> Element:
         raise ValueError(f"no value given for variable {p.variable!r}") from None
     acc = point.domain.zero
     for c in reversed(p.coeffs):
-        acc = acc * point + specialize(c, values)
+        acc = acc * point + (c if c.domain == point.domain else specialize(c, values))
     return acc
 
 

@@ -6,14 +6,17 @@ The list covers the README examples, one probe per error code the CLI
 can raise (DomainMismatch, VariableMismatch and EnumerationTooLarge are
 library-only), text and ``--json`` over Q[y] and Q[y][z] with each
 ``--main-var``, ``--verify``, every small prime field, the sparse
-degree-10000 inputs and ``variety`` up to n = 8.  A change that is
-meant to keep the CLI's output leaves the recording as it is; one that
-changes output on purpose re-records it and says why:
+degree-10000 inputs and ``variety`` up to n = 8; one hash,
+``VARIETY_9_TO_16``, pins ``variety`` for 9 <= n <= 16.  A change that
+is meant to keep the CLI's output leaves both as they are; one that
+changes output on purpose re-records the file, updates the hash and
+says why:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -144,6 +147,24 @@ def test_cli_output_matches_recording():
     assert [r["argv"] for r in recorded] == CASES, "re-record after editing CASES"
     for expected in recorded:
         assert run(expected["argv"]) == expected
+
+
+# sha256 of the stdout of `variety --n n --d d`, then of the same with
+# --json, for 9 <= n <= 16 and each divisor d >= 2 of n, in that order
+VARIETY_9_TO_16 = "41fd9388ef226e8f54811f5e77a73dfb01c2b4aa15408a34301b09edb63b226d"
+
+
+def test_variety_output_beyond_the_recording():
+    """``variety`` past the recording's n = 8, pinned by one hash."""
+    digest = hashlib.sha256()
+    for n in range(9, 17):
+        for d in range(2, n + 1):
+            if n % d == 0:
+                for json_flag in ([], ["--json"]):
+                    result = run(["variety", "--n", str(n), "--d", str(d), *json_flag])
+                    assert (result["exit"], result["stderr"]) == (0, "")
+                    digest.update(result["stdout"].encode())
+    assert digest.hexdigest() == VARIETY_9_TO_16
 
 
 if __name__ == "__main__":

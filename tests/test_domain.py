@@ -190,6 +190,22 @@ def test_tower_variables_must_be_distinct():
         PolynomialRing(3, "y")
 
 
+def test_building_a_tower_canonicalizes_nothing(monkeypatch):
+    """Each level takes its zero and one from its base's values, so a
+    tower of n levels costs O(n): canonicalizing 0 and 1 at every level
+    would descend the whole tower below it."""
+    calls = []
+    canonical = PolynomialRing._canonical
+    monkeypatch.setattr(PolynomialRing, "_canonical", lambda self, value: calls.append(self) or canonical(self, value))
+    for ground in (Rationals(), PrimeField(7)):
+        tower = polynomial_tower(ground, [f"a{k}" for k in range(1, 25)])
+        assert calls == []
+        assert tower.zero == tower.element(0) and tower.one == tower.element(1)
+        assert_canonical_element(tower.zero)
+        assert_canonical_element(tower.one)
+        calls.clear()
+
+
 def test_domain_equality_is_structural():
     assert Rationals() == Rationals()
     assert PrimeField(5) == PrimeField(5)

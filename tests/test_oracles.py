@@ -1,11 +1,13 @@
 """approx_root and decompose against the straightforward oracles in
-support.py and against SymPy, the polynomial-level work they are
-allowed to do, Poly products and sums against the schoolbook ones, and the
-parser against dense Poly evaluation.  Every Hypothesis test is
+support.py, against SymPy and under specialisation of a tower variable,
+the polynomial-level work and tower round trips they are allowed,
+Poly products and sums against the schoolbook ones, and the parser
+against dense Poly evaluation.  Every Hypothesis test is
 derandomized, so tier-1 draws the same cases, in the same time, on
 every run."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -21,12 +23,14 @@ from polydecomp import (
     Rationals,
     approx_root,
     decompose,
+    ground_domain,
     is_decomposable_uni,
     polynomial_tower,
     variety_equations,
 )
+from polydecomp import sparse
 from polydecomp.cli import parse_poly
-from polydecomp.sparse import Flat, flatten, nest
+from polydecomp.sparse import Flat, flatten, nest, working
 from support import (
     SympyTower,
     approx_root_by_powers,
@@ -37,6 +41,7 @@ from support import (
     rand_poly,
     schoolbook_compose,
     schoolbook_product,
+    specialize,
     tower_terms,
 )
 
@@ -63,11 +68,12 @@ def _elements(domain):
 
 
 @st.composite
-def monic_inputs(draw):
-    """(p, d) with p monic of degree d*m over QQ, QQ[y], GF(7)[y],
-    QQ[y][z] or GF(p); over GF(p), p does not divide d and p <= m.  Half
-    the time p is an exact composition h(q), so r = 0 is covered too."""
-    domain = draw(st.sampled_from(ORACLE_DOMAINS))
+def monic_inputs(draw, domains=ORACLE_DOMAINS):
+    """(p, d) with p monic of degree d*m over one of ``domains``, by
+    default QQ, QQ[y], GF(7)[y], QQ[y][z] or GF(p); over GF(p), p does
+    not divide d and p <= m.  Half the time p is an exact composition
+    h(q), so r = 0 is covered too."""
+    domain = draw(st.sampled_from(domains))
     if isinstance(domain, PrimeField):
         d = draw(st.sampled_from([d for d in range(2, 6) if d % domain.p]))
         m = draw(st.integers(domain.p, 8))
@@ -97,6 +103,32 @@ def test_decompose_equals_oracle(case):
     p, d = case
     fast, slow = decompose(p, d), decompose_by_peeling(p, d)
     assert (fast.h, fast.q, fast.r, fast.d) == (slow.h, slow.q, slow.r, slow.d)
+
+
+# each tower, and the domain that evaluating its top variable lands in
+SPECIALISATIONS = {QQY: QQ, GF7Y: PrimeField(7), QQYZ: QQY}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(monic_inputs(list(SPECIALISATIONS)), st.data())
+def test_specialisation_commutes_with_tower_algorithms(case, data):
+    """Evaluating the top variable of a tower at a ground point is a
+    ring map onto the level below, and Q, h and R are polynomials in
+    p's coefficients with only d inverted (d < 7 over GF(7)), so the
+    map commutes with approx_root and with decompose, part by part."""
+    p, d = case
+    below = SPECIALISATIONS[p.domain]
+    point = below.element(data.draw(_elements(ground_domain(below))))
+    values = {p.domain.variable: point}
+
+    def at(f):
+        return Poly(below, f.variable, [specialize(c, values) for c in f.coeffs])
+
+    assert approx_root(at(p), d) == at(approx_root(p, d))
+    dec, low = decompose(p, d), decompose(at(p), d)
+    assert low.q == at(dec.q)
+    assert low.h == at(dec.h)
+    assert low.r == at(dec.r)
 
 
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
@@ -144,6 +176,13 @@ def kernel_cases(domain):
     return st.tuples(poly("x", size), poly("x", size), poly("t", 4))
 
 
+def working_dot(domain, xs, ys):
+    """The dot of two lists of raw values of ``domain``, taken on its
+    working values: a field's own, a tower's flat maps nested back."""
+    work, into, out = working(domain)
+    return out([work._dot(into(xs), into(ys))])[0]
+
+
 def assert_sums_equal_schoolbook(f, g):
     """f + g and f - g against coefficient sums taken Element by Element."""
     pairs = [(f.coeff(i), g.coeff(i)) for i in range(max(len(f.coeffs), len(g.coeffs)))]
@@ -173,21 +212,22 @@ def test_kernels_equal_schoolbook(domain, data):
     assert_sums_equal_schoolbook(f, Poly(domain, "x", [-c for c in k.coeffs]))
     scalar = f.coeffs[-1]
     assert g * scalar == schoolbook_product(g, Poly(domain, "x", (scalar,)))
-    # the kernel of the root table and the decompose scan
+    # the kernel of the root table and the decompose scan, on working values
     n = min(len(f.coeffs), len(g.coeffs))
     fs, gs = f.coeffs[:n], g.coeffs[:n]
     expected = domain.zero
     for a, b in zip(fs, gs):
         expected = expected + a * b
-    assert domain._dot([a.value for a in fs], [b.value for b in gs]) == expected.value
+    assert working_dot(domain, [a.value for a in fs], [b.value for b in gs]) == expected.value
 
 
 @pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
 @settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(data=st.data())
 def test_tower_kernels_equal_sympy(domain, data):
-    """The two tower kernels against SymPy's sparse products, on lists
-    that always hold a zero and a value constant in the top variable."""
+    """The tower's list product, and the dot of its flat maps nested
+    back, against SymPy's sparse products, on lists that always hold a
+    zero and a value constant in the top variable."""
     values = _elements(domain).map(attrgetter("value"))
     a, b = (data.draw(st.lists(values, min_size=1, max_size=6)) for _ in range(2))
     below = data.draw(_elements(domain.base).map(attrgetter("value")).filter(bool))
@@ -205,12 +245,12 @@ def test_tower_kernels_equal_sympy(domain, data):
     check(product, ref.of(domain, a) * ref.of(domain, b))
     n = min(len(a), len(b))
     dot = sum((ref.of(domain, [x]) * ref.of(domain, [y]) for x, y in zip(a, b)), ref.ring.zero)
-    check([domain._dot(a[:n], b[:n])], dot)
+    check([working_dot(domain, a[:n], b[:n])], dot)
 
 
 def test_tower_dot_cancels_to_zero():
-    """A dot whose terms cancel, over sides with denominators 2, 3, 5
-    and 5, 1: the sum of the integer numerators is 0 in every term."""
+    """A flat dot whose terms cancel, over sides with denominators 2, 3,
+    5 and 5, 1: the sum of the integer numerators is 0 in every term."""
     y, z = QQYZ.generator("y"), QQYZ.generator("z")
 
     def c(num, den):
@@ -218,9 +258,9 @@ def test_tower_dot_cancels_to_zero():
 
     xs = [c(1, 2) * y + c(1, 3) * z, c(1, 5) * z]
     ys = [c(6, 5) * z, c(-3, 1) * y - c(2, 1) * z]  # 3/5*yz + 2/5*z^2, then its negative
-    dot = QQYZ._dot([x.value for x in xs], [v.value for v in ys])
+    dot = working_dot(QQYZ, [x.value for x in xs], [v.value for v in ys])
     assert dot == QQYZ._zero and not dot
-    assert QQYZ._dot([xs[0].value], [ys[0].value]) == (xs[0] * ys[0]).value
+    assert working_dot(QQYZ, [xs[0].value], [ys[0].value]) == (xs[0] * ys[0]).value
     # with ys reversed, the product's middle coefficient is that dot
     product = QQYZ._mul_lists([x.value for x in xs], [v.value for v in reversed(ys)])
     assert len(product) == 3 and product[1] == QQYZ._zero
@@ -302,7 +342,7 @@ def test_tower_operation_counts(monkeypatch):
     are added only where a flat sum meets two ground terms with one key.
     decompose makes exactly the d - 1 flat list products of q^2 .. q^d,
     and variety_equations(10, 2) one.  The flat products, and the tower
-    kernels behind Poly.__mul__, add no Fraction either: they multiply
+    kernel behind Poly.__mul__, add no Fraction either: they multiply
     integer numerators and make one Fraction per output term."""
     context = []  # the labels of the wrapped calls now running
     ops = Counter()  # (operation, innermost label) -> calls
@@ -321,7 +361,7 @@ def test_tower_operation_counts(monkeypatch):
     for owner, names, label in (
         (Flat, ("_add", "_sub"), "sum"),
         (Flat, ("_mul", "_dot", "_mul_lists"), "flat product"),
-        (PolynomialRing, ("_mul_lists", "_dot"), "tower kernel"),
+        (PolynomialRing, ("_mul_lists",), "tower kernel"),
     ):
         for name in names:
             original = getattr(owner, name)
@@ -351,9 +391,37 @@ def test_tower_operation_counts(monkeypatch):
     assert_flat(lambda: variety_equations(10, 2), 1)
     ops.clear()
     p * p
-    QQYZ._dot(list(p.values), list(p.values))
-    assert ops["tower kernel", "_mul_lists"] > 0 and ops["tower kernel", "_dot"] == 1
+    working_dot(QQYZ, p.values, p.values)
+    assert ops["tower kernel", "_mul_lists"] > 0 and ops["flat product", "_dot"] == 1
     assert not [op for op in ops if op[1] in ("tower kernel", "flat product")]
+
+
+def test_tower_round_trips(monkeypatch):
+    """Over a tower decompose flattens p, and its Flat the ring's one,
+    and nests h, q and r once each: q goes from the root to the split
+    as flat maps.  variety_equations starts from flat maps and nests
+    only its equations."""
+    calls = Counter()
+    modules = [module for name, module in sys.modules.items() if name.startswith("polydecomp")]
+    for name in ("flatten", "nest"):
+        original = getattr(sparse, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:  # wherever the name is bound
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random(16)
+    for d in (2, 3):
+        p = rand_poly(rng, QQYZ, "x", 2 * d, monic=True)
+        calls.clear()
+        decompose(p, d)
+        assert calls["flatten"] <= 2 and calls["nest"] == 3
+    calls.clear()
+    variety_equations(10, 2)
+    assert calls["flatten"] <= 1 and calls["nest"] == 1
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
