@@ -21,9 +21,9 @@ the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
 times its number of terms.
 d must be invertible in the domain; nothing else is, so one recurrence
 serves Q, GF(p) with p <= m and towers over them.  ``root`` runs it on
-working values (``sparse.working``) and returns Q's, which decompose
-uses as they are; over a tower, ``approx_root`` flattens only the top
-m + 1 coefficients of P and nests Q once.
+the stored values with the domain's hooks, over a tower on the maps of
+ground terms themselves, and returns Q's, which decompose uses as they
+are.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from functools import reduce
 
 from .errors import DegreeNotDivisible, InvalidOuterDegree, NotMonic
 from .poly import Poly
-from .sparse import working
 
 
 def check_outer_degree(n: int, d, name: str) -> None:
@@ -51,12 +50,12 @@ def check_root(p: Poly, d: int) -> None:
     check_outer_degree(p.degree, d, "deg(p)")
 
 
-def root(work, top: list, d: int) -> list:
-    """Q's working values from those of P's top coefficients, a_k = top[m - k]."""
-    add, sub, mul, dot = work._add, work._sub, work._mul, work._dot
-    inv_d = work._invert_integer(d)
+def root(domain, top, d: int) -> list:
+    """Q's values from those of P's top coefficients, a_k = top[m - k]."""
+    add, sub, mul, dot = domain._add, domain._sub, domain._mul, domain._dot
+    inv_d = domain._invert_integer(d)
     m = len(top) - 1
-    zero, one = work._zero, work._one
+    zero, one = domain._zero, domain._one
     b = [one]
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
     b_nonzero = []  # b_i for those i
@@ -79,6 +78,5 @@ def root(work, top: list, d: int) -> list:
 def approx_root(p: Poly, d: int) -> Poly:
     """The unique monic q with deg(p - q**d) < deg(p) - deg(p)//d."""
     check_root(p, d)
-    work, into, out = working(p.domain)
     n = p.degree
-    return Poly._of(p.domain, p.variable, out(root(work, into(p.values[n - n // d :]), d)))
+    return Poly._of(p.domain, p.variable, root(p.domain, p.values[n - n // d :], d))

@@ -68,8 +68,8 @@ from .errors import (
     PolyDecompError,
     UnknownVariable,
 )
-from .poly import Poly, join_terms
-from .sparse import flatten, merge, negate, nest, product
+from .poly import Poly, join_terms, unfold
+from .sparse import merge, negate, product
 
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 2**20
@@ -311,9 +311,6 @@ class _Parser:
         return terms
 
     def power(self, a: dict, e: int) -> dict:
-        if len(a) == 1:
-            [(key, value)] = a.items()
-            return {tuple(e * k for k in key): self.field._pow(value, e)}
         result = {self.constant: self.one}
         while e:
             if e & 1:
@@ -360,9 +357,9 @@ def parse_poly(
         if not VARIABLE_NAME.fullmatch(name):
             raise ValueError(f"bad variable name {name!r}")
     others = [v for v in names if v != main]
-    domain = polynomial_tower(field, others)
-    terms = _Parser(text, field, [main, *reversed(others)]).parse()
-    return Poly._of(domain, main, nest(terms, domain))
+    # the parsed terms are a value of field[others][main]
+    ring = polynomial_tower(field, [*others, main])
+    return unfold(ring, _Parser(text, field, [main, *reversed(others)]).parse())
 
 
 # ----------------------------------------------------------------------
@@ -372,19 +369,20 @@ def parse_poly(
 def poly_to_json(f: Poly) -> dict:
     """Schema: {"var": name, "coeffs": [c0, c1, ...]} ascending, where a
     coefficient is a rational/residue string or a nested object."""
-    coeffs = [poly_to_json(c) if isinstance(c, Poly) else value_text(c) for c in f.values]
+    domain, tower = f.domain, isinstance(f.domain, PolynomialRing)
+    coeffs = [poly_to_json(unfold(domain, c)) if tower else value_text(c) for c in f.values]
     return {"var": f.variable, "coeffs": coeffs}
 
 
 def element_to_text(el: Element) -> str:
-    """Flatten a tower element to explicit monomials, outermost variable
-    sorted first, so nested constants print like ordinary polynomials."""
+    """A tower element as explicit monomials, outermost variable sorted
+    first, so nested constants print like ordinary polynomials."""
     names, ground = [], el.domain
     while isinstance(ground, PolynomialRing):
         names.append(ground.variable)
         ground = ground.base
-    terms = sorted(flatten(el.domain, (el.value,)).items(), reverse=True)
-    return join_terms(ground, ((c, reversed([*zip(names, key[1:])])) for key, c in terms))
+    terms = sorted(el.value.items(), reverse=True) if names else [((), el.value)]
+    return join_terms(ground, ((c, reversed([*zip(names, key)])) for key, c in terms))
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +478,7 @@ def _variety_json(system: VarietySystem) -> dict:
         "n": system.n,
         "d": system.d,
         "indeterminates": list(system.indeterminates),
-        "equations": [poly_to_json(eq.value) for eq in system.equations],
+        "equations": [poly_to_json(unfold(eq.domain, eq.value)) for eq in system.equations],
     }
 
 

@@ -10,10 +10,10 @@ variable is a composition h(q) with h over K alone exactly when r
 vanishes *and* every coefficient of h is a constant of K; the second
 half is what fails for inputs like x^2 + y.
 
-``variety_equations(n, d)`` runs the same split on the flat maps of the
-generic monic polynomial whose coefficients are fresh indeterminates
-a1 .. an, and nests only the remainder coefficients: the polynomial
-conditions that cut out the d-decomposable locus.
+``variety_equations(n, d)`` runs the same split on the generic monic
+polynomial whose coefficients are fresh indeterminates a1 .. an, and
+keeps its remainder coefficients: the polynomial conditions that cut
+out the d-decomposable locus.
 
 ``brute_force_decompose`` is an independent exhaustive oracle over a
 prime field, used to cross-check the algebraic route on small inputs.
@@ -29,7 +29,7 @@ from .decomp import OUTER_VARIABLE, decompose, split
 from .domain import Element, PolynomialRing, PrimeField, Rationals, ground_domain, polynomial_tower
 from .errors import EnumerationTooLarge, NotMonic, NotMonicInMainVar
 from .poly import Poly, descend
-from .sparse import Flat
+from .sparse import Terms
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,13 @@ def variety_equations(n: int, d: int) -> VarietySystem:
     check_outer_degree(n, d, "n")
     names = tuple(f"a{k}" for k in range(1, n + 1))
     ground = Rationals()
-    flat = Flat(polynomial_tower(ground, names))
+    ring = polynomial_tower(ground, names)
     # x^i has the coefficient a_(n-i), and the tower's levels run from
     # a_n, so its one ground term has exponent 1 at level i
-    generic = [{tuple(int(j == i) for j in range(n)): ground._one} for i in range(n + 1)]
-    r = split(flat, generic, d)[2]
+    generic = [Terms({tuple(int(j == i) for j in range(n)): ground._one}) for i in range(n + 1)]
+    r = split(ring, generic, d)[2]
     m = n // d
-    slots = [i for i in range(n - m - 1, 0, -1) if i % m]
-    equations = tuple(Element(flat.ring, value) for value in flat.out([r[i] for i in slots]))
+    equations = tuple(Element(ring, r[i]) for i in range(n - m - 1, 0, -1) if i % m)
     return VarietySystem(n, d, names, equations)
 
 

@@ -10,14 +10,14 @@ shape exactly when r vanishes.
 With m = deg q and e = p - q**d, the coefficients of h and r are read
 off from the top of p down, each by one linear equation in those
 already found: at x^i the coefficient left is c = e[i] minus the sum of
-h_j * (q^j)[i] over the terms h_j*t^j of h found so far, each with
-j*m > i.  A nonzero c goes to h as c*t^(i/m) when m divides i, since
-q^(i/m) is monic; otherwise it goes to r as c*x^i.  The powers q^2 ..
-q^d cost d - 1 list products, O(n^2) ring operations for n = deg p,
-and each coefficient one dot product over at most d - 1 terms, so the
-whole split is O(n^2).  ``split`` runs it on working values
-(``sparse.working``) with Q's from ``approot.root``: over a tower p is
-flattened once, Q never, and h, q and r are nested once each.
+h_j * (q^j)[i] over i/m < j < d - 1, every such h_j being found by
+then (h_(d-1) is 0 and h_d is in e).  A nonzero c goes to h as
+c*t^(i/m) when m divides i, since q^(i/m) is monic; otherwise it goes
+to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, O(n^2)
+ring operations for n = deg p, and each coefficient one dot product
+over at most d - 2 terms, so the whole split is O(n^2).  ``split``
+runs it on the stored values with the domain's hooks, with Q's values
+from ``approot.root``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .approot import check_root, root
 from .domain import Domain, check_variable
 from .errors import DomainMismatch, VariableMismatch
 from .poly import Poly
-from .sparse import working
 
 OUTER_VARIABLE = "t"
 
@@ -55,30 +54,27 @@ def _outer_variable(domain: Domain) -> str:
         return name
 
 
-def split(work, p: list, d: int) -> tuple[list, list, list]:
-    """h, q and r as working values, ascending, from those of monic p."""
+def split(domain: Domain, p, d: int) -> tuple[list, list, list]:
+    """h, q and r as values of ``domain``, ascending, from those of monic p."""
     m = (len(p) - 1) // d
-    powers = [[work._one], root(work, p[-m - 1 :], d)]  # q^j, j = 0 .. d
+    powers = [[domain._one], root(domain, p[-m - 1 :], d)]  # q^j, j = 0 .. d
     for _ in range(d - 1):
-        powers.append(work._mul_lists(powers[-1], powers[1]))
+        powers.append(domain._mul_lists(powers[-1], powers[1]))
     # p and q^d are both monic of degree n
-    e = list(map(work._sub, p, powers[d]))
-    h = [work._zero] * d + [work._one]
-    r = [work._zero] * len(e)
-    found = []  # the j < d with h_j != 0, the only terms of a dot
-    h_found = []  # h_j for those j
+    e = list(map(domain._sub, p, powers[d]))
+    h = [domain._zero] * d + [domain._one]
+    r = [domain._zero] * len(e)
     for i in range(len(e) - 1, -1, -1):
-        c = e[i]
-        if found:
-            c = work._sub(c, work._dot(h_found, [powers[j][i] for j in found]))
+        # h_j for i/m < j < d - 1, all found by now; a sparse h has few
+        j, c = i // m + 1, e[i]
+        if any(h[j : d - 1]):
+            c = domain._sub(c, domain._dot(h[j : d - 1], [q_j[i] for q_j in powers[j : d - 1]]))
         if not c:
             continue
         if i % m:
             r[i] = c
-            continue
-        h[i // m] = c
-        found.append(i // m)
-        h_found.append(c)
+        else:
+            h[i // m] = c
     return h, powers[1], r
 
 
@@ -86,8 +82,7 @@ def decompose(p: Poly, d: int) -> Decomposition:
     """Split monic p into h(q) + r; see the module docstring for the shape."""
     check_root(p, d)
     domain, var = p.domain, p.variable
-    work, into, out = working(domain)
-    h, q, r = (out(part) for part in split(work, into(p.values), d))
+    h, q, r = split(domain, p.values, d)
     h = Poly._of(domain, _outer_variable(domain), h)
     return Decomposition(h, Poly._of(domain, var, q), Poly._of(domain, var, r), d)
 

@@ -13,9 +13,9 @@ tower must be pairwise distinct.
 Every element is kept in canonical form at all times: rational values
 are reduced fractions with positive denominator (``fractions.Fraction``
 guarantees this), prime field values are residues in [0, p), and
-polynomial values carry no leading zero coefficient.  Equality is
-structural, so two elements compare equal exactly when their canonical
-forms coincide.  Floating point never appears anywhere.
+polynomial ring values are maps of ground terms with no zero value.
+Equality is structural, so two elements compare equal exactly when
+their canonical forms coincide.  Floating point never appears anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
+from .sparse import Terms, merge, negate, product
 
 # the one rule for variable names, in the parser and in towers alike
 VARIABLE_NAME = re.compile("[A-Za-z][A-Za-z0-9]*")
@@ -96,34 +97,36 @@ class Element:
         return Element(self.domain, self.domain._invert(self.value))
 
     def __str__(self):
-        return value_text(self.value)
+        return self.domain._text(self.value)
 
 
 class Domain:
     """Base class of all coefficient domains.
 
-    A domain's values are raw: a Fraction, a residue int, or a Poly one
-    tower level down.  A value is zero exactly when it is false.
-    Subclasses provide the hooks _canonical and _invert plus metadata.
-    ``_value`` coerces anything into a raw value, which ``element``
-    wraps: it unwraps elements of this domain, hands elements of other
-    domains to _lift (an error except in towers), rejects floats and
-    canonicalizes anything else with _canonical.  The _add, _sub, _mul,
-    _neg and _pow hooks default to the values' own operators; PrimeField
-    overrides them to reduce mod p.  Subclasses are dataclasses, so
-    domains compare structurally; equal domains are fully
-    interchangeable.  The raw ``_zero`` and ``_one`` are set once, when
-    the domain is made; ``zero`` and ``one`` wrap them.
+    A domain's values are raw: a Fraction, a residue int, or a tower
+    ring's ``sparse.Terms`` map.  A value is zero exactly when it is
+    false.  Subclasses provide the hooks _canonical and _invert plus
+    metadata.  ``_value`` coerces anything into a raw value, which
+    ``element`` wraps: it unwraps elements of this domain, hands
+    elements of other domains to _lift (an error except in towers),
+    rejects floats and canonicalizes anything else with _canonical.  The
+    _add, _sub, _mul and _neg hooks default to the values' own
+    operators; PrimeField overrides them to reduce mod p, and
+    PolynomialRing to merge and multiply maps.  ``_text`` is a value's
+    text.  Subclasses are dataclasses, so domains compare structurally;
+    equal domains are fully interchangeable.  The raw ``_zero`` and
+    ``_one`` are set once, when the domain is made; ``zero`` and ``one``
+    wrap them.
 
     A Poly stores raw values and computes with these hooks and with each
-    subclass's list product _mul_lists (a field's also _dot).  Both sum
+    subclass's list kernels, the product _mul_lists and _dot.  They sum
     int products of numerators over one common denominator and divide
     each output term once (_ratio: a Fraction over Q, mod p over GF(p)).
-    approx_root, decompose and variety_equations compute on working
-    values: a field's own, or a tower's flat maps of ground terms
-    (``sparse.Flat``), into which a Poly argument is flattened once; Q
-    stays flat from root to split, and only results are nested.
-    The kernels trust their values to be canonical values of this domain.
+    approx_root, decompose and variety_equations compute on the stored
+    values with the same hooks.  ``_join`` maps a list of values to one
+    map of ground terms keyed by list index, then exponents, and
+    ``_split`` maps it back.  The kernels trust their values to be
+    canonical values of this domain.
     """
 
     is_field = False
@@ -170,8 +173,20 @@ class Domain:
     def _neg(self, a):
         return -a
 
-    def _pow(self, a, e: int):
-        return a**e
+    def _text(self, value) -> str:
+        return value_text(value)
+
+    def _join(self, values) -> dict:
+        """{(i,): value} for the nonzero values of a list; a ring's keys
+        go on with the exponents of each value's terms."""
+        return {(i,): v for i, v in enumerate(values) if v}
+
+    def _split(self, terms: dict, length: int) -> list:
+        """The list of ``length`` values whose ``_join`` is ``terms``."""
+        values = [self._zero] * length
+        for (i,), v in terms.items():
+            values[i] = v
+        return values
 
 
 def _convolve(a: list, b: list) -> list:
@@ -274,9 +289,6 @@ class PrimeField(Domain):
     def _neg(self, a):
         return -a % self.p
 
-    def _pow(self, a, e: int):
-        return pow(a, e, self.p)
-
     def _invert(self, a):
         """The inverse mod p of any int a."""
         if a % self.p == 0:
@@ -303,66 +315,91 @@ class PrimeField(Domain):
 class PolynomialRing(Domain):
     """Polynomials in one variable over a base domain.
 
-    Elements are Poly values over ``base`` in ``variable``.  Nesting
-    rings gives multivariate coefficients; the variable being adjoined
-    must not already occur deeper in the tower.
+    A value is a ``sparse.Terms`` map {exponents: nonzero ground value}
+    with one exponent per level from this ring inward, outermost first:
+    in QQ[y][z], z*y^2 + 3 is {(1, 2): 1, (0, 0): 3}.  Sums merge maps
+    with the ground field's hooks and products are one
+    ``sparse.product``; no hook changes its operands.  A Poly over
+    ``base`` in ``variable`` coerces to the map of its terms, and
+    ``poly.unfold`` gives it back for printing.  Nesting rings gives
+    multivariate coefficients; the variable being adjoined must not
+    already occur deeper in the tower.
     """
 
     base: Domain
     variable: str
 
     def __post_init__(self):
-        from .poly import Poly
-
         if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
         check_variable(self.base, self.variable)
         self._ground = ground_domain(self.base)
         # from the base's values: canonicalizing 0 and 1 would descend the tower
-        self._zero = Poly._of(self.base, self.variable, ())
-        self._one = Poly._of(self.base, self.variable, (self.base._one,))
+        self._zero, self._one = Terms(), Terms(self.base._join((self.base._one,)))
 
     def _canonical(self, value):
         from .poly import Poly
 
         if not isinstance(value, Poly):
-            return Poly._of(self.base, self.variable, (self.base._value(value),))
+            return Terms(self.base._join((self.base._value(value),)))
         if value.domain == self.base and value.variable == self.variable:
-            return value
+            return Terms(self.base._join(value.values))
         raise DomainMismatch(f"{value.variable!r}-polynomial does not fit {self}")
 
     # an element of a deeper level becomes a constant
     _lift = _canonical
 
     def _invert_integer(self, m: int):
-        from .poly import Poly
-
-        return Poly._of(self.base, self.variable, (self.base._invert_integer(m),))
+        return Terms({key: self._ground._invert_integer(m) for key in self._one})
 
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""
-        from .poly import Poly
-
         if name is None or name == self.variable:
-            return Element(self, Poly.gen(self.base, self.variable))
+            return Element(self, Terms(self.base._join((self.base._zero, self.base._one))))
         if isinstance(self.base, PolynomialRing):
             return self.element(self.base.generator(name))
         raise ValueError(f"no variable {name!r} in this tower")
 
     def _invert(self, a):
-        from .poly import Poly
-
-        # units of A[y] are the units of A
-        if a.degree != 0:
+        # units of A[y] are the units of A: the nonzero ground constants
+        if len(a) != 1 or any(next(iter(a))):
             raise NotInvertible("only nonzero constants are invertible here")
-        return Poly._of(self.base, self.variable, (self.base._invert(a.values[0]),))
+        return Terms({key: self._ground._invert(c) for key, c in a.items()})
 
-    # the flat product, between one flattening and one nesting (sparse.Flat)
+    def _add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return merge(Terms(a), b, self._ground)
+
+    def _sub(self, a, b):
+        return merge(Terms(a), negate(Terms(b), self._ground), self._ground)
+
+    def _neg(self, a):
+        return negate(Terms(a), self._ground)
+
+    def _mul(self, a, b):
+        return product([(a, b)], self._ground)
+
+    def _dot(self, xs, ys):
+        return product(list(zip(xs, ys)), self._ground)
+
     def _mul_lists(self, a, b):
-        from .sparse import Flat
+        terms = product([(self._join(a), self._join(b))], self._ground)
+        return self._split(terms, len(a) + len(b) - 1)
 
-        flat = Flat(self)
-        return flat.out(flat._mul_lists(flat.into(a), flat.into(b)))
+    def _join(self, values) -> dict:
+        return {(i, *key): c for i, terms in enumerate(values) for key, c in terms.items()}
+
+    def _split(self, terms: dict, length: int) -> list:
+        values = [Terms() for _ in range(length)]
+        for key, c in terms.items():
+            values[key[0]][key[1:]] = c
+        return values
+
+    def _text(self, value) -> str:
+        from .poly import unfold
+
+        return str(unfold(self, value))
 
     def __str__(self):
         return f"{self.base}[{self.variable}]"

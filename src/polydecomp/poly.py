@@ -1,25 +1,27 @@
 """Dense univariate polynomials over a coefficient domain.
 
 A Poly stores each coefficient once, in the tuple ``values``, as the raw
-canonical value of its domain: a Fraction, a residue int, or a Poly one
-tower level down.  ``values[i]`` belongs to ``variable**i`` and the
-tuple never ends in a zero, a value that is false, so the zero
+canonical value of its domain: a Fraction, a residue int, or a tower
+ring's ``sparse.Terms`` map.  ``values[i]`` belongs to ``variable**i``
+and the tuple never ends in a zero, a value that is false, so the zero
 polynomial is the empty tuple and otherwise ``degree == len(values) -
-1``.  A Poly is false exactly when it is zero, which makes it a raw
-value like the others one tower level up.  The degree of the zero
+1``.  A Poly is false exactly when it is zero.  The degree of the zero
 polynomial is the sentinel ``NEG_INF``, which compares below every
 integer.  ``coeffs``, ``coeff`` and ``leading_coefficient`` are the
 public view and the only code here that wraps values into Elements.
 
 A Poly is immutable; every operation returns a new instance.  A Poly
-over ``PolynomialRing(D, v)`` has coefficients that are themselves
-polynomials, which is how multivariate polynomials are represented, one
-variable per tower level.
+over ``PolynomialRing(D, v)`` has coefficients that are polynomials in
+v and the variables of D, stored as maps of their ground terms, which
+is how multivariate polynomials are represented.  ``unfold`` gives such
+a value as a Poly over D, one level at a time, where text or JSON is
+printed; ``descend`` gives the level where a variable occurs in it.
 
 ``Poly(domain, variable, coeffs)`` coerces every coefficient with
-``domain._value``, so a stored value is always canonical for the
-domain, and rejects a variable that a tower level over ``domain``
-could not have (``check_variable``), so its text re-parses.
+``domain._value``, a Poly over a tower level's base included, so a
+stored value is always canonical for the domain, and rejects a
+variable that a tower level over ``domain`` could not have
+(``check_variable``), so its text re-parses.
 Arithmetic runs on the values through the domain's hooks and list
 kernels (``_add``, ``_mul_lists``) and builds its result with the
 trusted ``Poly._of``; only the operands' domains and variables are
@@ -228,11 +230,16 @@ class Poly:
 def descend(domain: Domain, value) -> tuple[Domain, object]:
     """Step down through every tower level where the value is constant:
     to a ground (domain, value) pair, zero included, or to the level
-    where a variable occurs."""
-    while isinstance(domain, PolynomialRing) and value.degree <= 0:
-        value = value.values[0] if value else domain.base._zero
-        domain = domain.base
+    where a variable occurs, with the value's map at that level."""
+    while isinstance(domain, PolynomialRing) and not any(key[0] for key in value):
+        domain, value = domain.base, domain.base._split(value, 1)[0]
     return domain, value
+
+
+def unfold(ring: PolynomialRing, value) -> Poly:
+    """A value of ``ring`` as a Poly over its base in its variable."""
+    length = 1 + max((key[0] for key in value), default=-1)
+    return Poly._of(ring.base, ring.variable, ring.base._split(value, length))
 
 
 def join_terms(domain: Domain, terms: Iterable[tuple[object, Iterable[tuple[str, int]]]]) -> str:
@@ -252,7 +259,7 @@ def join_terms(domain: Domain, terms: Iterable[tuple[object, Iterable[tuple[str,
         level, c = descend(domain, c)
         sign = "+"
         if isinstance(level, PolynomialRing):
-            text, unit = f"({c})", False
+            text, unit = f"({level._text(c)})", False
         else:
             if c < 0:
                 sign, c = "-", -c

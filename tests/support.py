@@ -19,6 +19,8 @@ from polydecomp import (
     Rationals,
 )
 from polydecomp.approot import check_outer_degree
+from polydecomp.poly import unfold
+from polydecomp.sparse import Terms
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -71,10 +73,16 @@ def assert_canonical_element(el: Element) -> None:
         assert isinstance(v, int)
         assert 0 <= v < el.domain.p
     elif isinstance(el.domain, PolynomialRing):
-        assert isinstance(v, Poly)
-        assert v.domain == el.domain.base
-        assert v.variable == el.domain.variable
-        assert_canonical_poly(v)
+        # a map of ground terms, one exponent per level, no zero value
+        assert isinstance(v, Terms)
+        depth, level = 0, el.domain
+        while isinstance(level, PolynomialRing):
+            depth, level = depth + 1, level.base
+        for key, c in v.items():
+            assert isinstance(key, tuple) and len(key) == depth
+            assert all(isinstance(e, int) and e >= 0 for e in key)
+            assert c
+        assert_canonical_poly(unfold(el.domain, v))
     else:
         raise AssertionError(f"unknown domain kind {el.domain!r}")
 
@@ -118,19 +126,9 @@ def schoolbook_product(f: Poly, g: Poly) -> Poly:
 def tower_terms(domain: Domain, values) -> dict:
     """{(i, exponents of the tower levels, outermost first): ground
     value} for the nonzero ground values under a list of raw values of
-    ``domain``, read off ``values`` with no polydecomp arithmetic."""
-    terms = {}
-
-    def walk(level, value, key):
-        if isinstance(level, PolynomialRing):
-            for j, c in enumerate(value.values):
-                walk(level.base, c, key + (j,))
-        elif value:
-            terms[key] = value
-
-    for i, value in enumerate(values):
-        walk(domain, value, (i,))
-    return terms
+    the tower ``domain``, read off their maps with no polydecomp
+    arithmetic."""
+    return {(i, *key): c for i, value in enumerate(values) for key, c in value.items()}
 
 
 class SympyTower:
@@ -193,7 +191,7 @@ def specialize(el: Element, values: dict) -> Element:
     """
     if not isinstance(el.domain, PolynomialRing):
         return el
-    p = el.value
+    p = unfold(el.domain, el.value)
     try:
         point = values[p.variable]
     except KeyError:
@@ -218,7 +216,7 @@ def poly_from_json(obj: dict, domain: Domain) -> Poly:
                 raise ValueError("nested coefficient over a ground domain")
             if entry["var"] != domain.variable:
                 raise ValueError(f"coefficient variable {entry['var']!r} does not match {domain}")
-            coeffs.append(Element(domain, poly_from_json(entry, domain.base)))
+            coeffs.append(domain.element(poly_from_json(entry, domain.base)))
         else:
             coeffs.append(domain.element(Fraction(entry)))
     return Poly(domain, obj["var"], coeffs)

@@ -1,13 +1,13 @@
 """approx_root and decompose against the straightforward oracles in
-support.py, against SymPy and under specialisation of a tower variable,
-the polynomial-level work and tower round trips they are allowed,
+support.py, against SymPy, under specialisation of a tower variable
+and under reduction mod p, the polynomial-level work and tower Polys
+they are allowed,
 Poly products and sums against the schoolbook ones, and the parser
 against dense Poly evaluation.  Every Hypothesis test is
 derandomized, so tier-1 draws the same cases, in the same time, on
 every run."""
 
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -17,6 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (
+    Element,
     Poly,
     PolynomialRing,
     PrimeField,
@@ -28,12 +29,12 @@ from polydecomp import (
     polynomial_tower,
     variety_equations,
 )
-from polydecomp import sparse
 from polydecomp.cli import parse_poly
-from polydecomp.sparse import Flat, flatten, nest, working
+from polydecomp.poly import unfold
 from support import (
     SympyTower,
     approx_root_by_powers,
+    assert_canonical_element,
     assert_canonical_poly,
     decompose_by_peeling,
     monomial,
@@ -131,6 +132,48 @@ def test_specialisation_commutes_with_tower_algorithms(case, data):
     assert low.r == at(dec.r)
 
 
+# the primes QQ inputs are reduced modulo; 2 .. 7 are at most m for some m
+REDUCTION_PRIMES = (2, 3, 5, 7, 11, 13, 101)
+
+
+@st.composite
+def reducible_inputs(draw):
+    """(p, d, prime): p monic over QQ of degree d*m with m <= 8, where
+    prime divides neither d nor any denominator of p.  Half the time p
+    is an exact composition h(q)."""
+    prime = draw(st.sampled_from(REDUCTION_PRIMES))
+    d = draw(st.sampled_from([d for d in range(2, 6) if d % prime]))
+    m = draw(st.integers(1, 8))
+    values = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([k for k in range(1, 10) if k % prime]))
+
+    def monic(degree, variable):
+        return Poly(QQ, variable, draw(st.lists(values, min_size=degree, max_size=degree)) + [1])
+
+    if draw(st.booleans()):
+        return monic(d, "t").compose(monic(m, "x")), d, prime
+    return monic(d * m, "x"), d, prime
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(reducible_inputs())
+def test_reduction_mod_p_commutes_with_algorithms(case):
+    """Reducing mod p is a ring map onto GF(p) from the rationals whose
+    denominators p does not divide, and Q, h and R are polynomials in
+    P's coefficients with only d inverted, so the map commutes with
+    approx_root and with decompose, part by part, also for p <= m."""
+    p, d, prime = case
+    field = PrimeField(prime)
+
+    def mod(f):
+        return Poly(field, f.variable, [c.value for c in f.coeffs])
+
+    assert approx_root(mod(p), d) == mod(approx_root(p, d))
+    dec, low = decompose(p, d), decompose(mod(p), d)
+    assert low.q == mod(dec.q)
+    assert low.h == mod(dec.h)
+    assert low.r == mod(dec.r)
+
+
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
 def test_oracles_on_every_domain(domain):
     """The two oracle tests above may leave a domain undrawn, so each
@@ -176,13 +219,6 @@ def kernel_cases(domain):
     return st.tuples(poly("x", size), poly("x", size), poly("t", 4))
 
 
-def working_dot(domain, xs, ys):
-    """The dot of two lists of raw values of ``domain``, taken on its
-    working values: a field's own, a tower's flat maps nested back."""
-    work, into, out = working(domain)
-    return out([work._dot(into(xs), into(ys))])[0]
-
-
 def assert_sums_equal_schoolbook(f, g):
     """f + g and f - g against coefficient sums taken Element by Element."""
     pairs = [(f.coeff(i), g.coeff(i)) for i in range(max(len(f.coeffs), len(g.coeffs)))]
@@ -212,32 +248,32 @@ def test_kernels_equal_schoolbook(domain, data):
     assert_sums_equal_schoolbook(f, Poly(domain, "x", [-c for c in k.coeffs]))
     scalar = f.coeffs[-1]
     assert g * scalar == schoolbook_product(g, Poly(domain, "x", (scalar,)))
-    # the kernel of the root table and the decompose scan, on working values
+    # the kernel of the root table and the decompose scan
     n = min(len(f.coeffs), len(g.coeffs))
     fs, gs = f.coeffs[:n], g.coeffs[:n]
     expected = domain.zero
     for a, b in zip(fs, gs):
         expected = expected + a * b
-    assert working_dot(domain, [a.value for a in fs], [b.value for b in gs]) == expected.value
+    assert domain._dot([a.value for a in fs], [b.value for b in gs]) == expected.value
 
 
 @pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
 @settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(data=st.data())
 def test_tower_kernels_equal_sympy(domain, data):
-    """The tower's list product, and the dot of its flat maps nested
-    back, against SymPy's sparse products, on lists that always hold a
-    zero and a value constant in the top variable."""
+    """The tower's list product and dot against SymPy's sparse
+    products, on lists that always hold a zero and a value constant in
+    the top variable."""
     values = _elements(domain).map(attrgetter("value"))
     a, b = (data.draw(st.lists(values, min_size=1, max_size=6)) for _ in range(2))
-    below = data.draw(_elements(domain.base).map(attrgetter("value")).filter(bool))
+    below = data.draw(_elements(domain.base).filter(attrgetter("value")))
     a.insert(data.draw(st.integers(0, len(a))), domain._zero)
-    b.insert(data.draw(st.integers(0, len(b))), Poly(domain.base, domain.variable, [below]))
+    b.insert(data.draw(st.integers(0, len(b))), domain._value(Poly(domain.base, domain.variable, [below])))
     ref = SympyTower(domain)
 
     def check(result, expected):
         for value in result:
-            assert_canonical_poly(value)
+            assert_canonical_element(Element(domain, value))
         assert tower_terms(domain, result) == ref.terms(expected)
 
     product = domain._mul_lists(a, b)
@@ -245,11 +281,11 @@ def test_tower_kernels_equal_sympy(domain, data):
     check(product, ref.of(domain, a) * ref.of(domain, b))
     n = min(len(a), len(b))
     dot = sum((ref.of(domain, [x]) * ref.of(domain, [y]) for x, y in zip(a, b)), ref.ring.zero)
-    check([working_dot(domain, a[:n], b[:n])], dot)
+    check([domain._dot(a[:n], b[:n])], dot)
 
 
 def test_tower_dot_cancels_to_zero():
-    """A flat dot whose terms cancel, over sides with denominators 2, 3,
+    """A tower dot whose terms cancel, over sides with denominators 2, 3,
     5 and 5, 1: the sum of the integer numerators is 0 in every term."""
     y, z = QQYZ.generator("y"), QQYZ.generator("z")
 
@@ -258,9 +294,9 @@ def test_tower_dot_cancels_to_zero():
 
     xs = [c(1, 2) * y + c(1, 3) * z, c(1, 5) * z]
     ys = [c(6, 5) * z, c(-3, 1) * y - c(2, 1) * z]  # 3/5*yz + 2/5*z^2, then its negative
-    dot = working_dot(QQYZ, [x.value for x in xs], [v.value for v in ys])
+    dot = QQYZ._dot([x.value for x in xs], [v.value for v in ys])
     assert dot == QQYZ._zero and not dot
-    assert working_dot(QQYZ, [xs[0].value], [ys[0].value]) == (xs[0] * ys[0]).value
+    assert QQYZ._dot([xs[0].value], [ys[0].value]) == (xs[0] * ys[0]).value
     # with ys reversed, the product's middle coefficient is that dot
     product = QQYZ._mul_lists([x.value for x in xs], [v.value for v in reversed(ys)])
     assert len(product) == 3 and product[1] == QQYZ._zero
@@ -272,8 +308,10 @@ def test_tower_dot_cancels_to_zero():
     ids=str,
 )
 def test_nest_inverts_flatten_on_deep_towers(domain):
-    """nest(flatten(...)) gives back a list of tower values, zeros
-    inside and at the end included, with every value canonical."""
+    """Coercing a value's unfolded Poly gives the value back: ``unfold``
+    nests a map one level and coercion flattens it again, for zeros,
+    constants at the bottom of the chain and innermost variables too,
+    and every level of the unfolded Poly is canonical."""
     rng = random.Random(14)
     ring, levels = domain, []
     while isinstance(ring, PolynomialRing):
@@ -285,65 +323,66 @@ def test_nest_inverts_flatten_on_deep_towers(domain):
         domain.element(Fraction(3, 5)).value,  # a constant at the bottom of the chain
         domain.generator(levels[-1]).value,  # the innermost variable
         (domain.generator(levels[0]) * domain.generator(levels[-1]) + domain.one).value,
-        domain._zero,
-        domain._zero,
     ]
-    rng.shuffle(values)
-    values += [domain._zero] * 2  # longer than the last nonzero index
-    terms = flatten(domain, values)
-    assert nest(terms, domain, len(values)) == values
-    for value in nest(terms, domain, len(values)):
-        assert_canonical_poly(value)
-    last = max(i for i, v in enumerate(values) if v)
-    assert nest(terms, domain) == values[: last + 1]
+    for value in values:
+        poly = unfold(domain, value)
+        assert (poly.domain, poly.variable) == (domain.base, levels[0])
+        assert_canonical_poly(poly)
+        assert domain._value(poly) == value
+        assert_canonical_element(domain.element(poly))
 
 
 @pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
 @settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(data=st.data())
 def test_flat_hooks_equal_nested_arithmetic(domain, data):
-    """Each hook of a tower's flat maps, nested back, against the Poly
-    arithmetic on the nested values; and into/out round-trip a list
-    with zeros inside and at its end."""
-    flat = Flat(domain)
+    """Each hook of a tower ring, on its maps, against the Poly
+    arithmetic one level down on the unfolded values; no hook changes
+    its operands."""
     values = _elements(domain).map(attrgetter("value"))
     a, b = (data.draw(st.lists(values, min_size=1, max_size=5)) for _ in range(2))
     a.insert(data.draw(st.integers(0, len(a))), domain._zero)
     b += [domain._zero] * data.draw(st.integers(0, 2))
-    fa, fb = flat.into(a), flat.into(b)
-    assert flat.out(fa) == a and flat.out(fb) == b
-    assert flat.out([flat._zero, flat._one]) == [domain._zero, domain._one]
+    operands = [dict(v) for v in a + b]
+
+    def nested(value):
+        return unfold(domain, value)
+
+    def constant(value):
+        return Poly(domain.base, domain.variable, [value])
+
+    assert (nested(domain._zero), nested(domain._one)) == (constant(0), constant(1))
     for i, x in enumerate(a):
         y = b[i % len(b)]
-        fx, fy = fa[i], fb[i % len(b)]
-        assert flat.out([flat._add(fx, fy)]) == [x + y]
-        assert flat.out([flat._sub(fx, fy)]) == [x - y]
-        assert flat.out([flat._sub(fx, fx)]) == [domain._zero]
-        assert flat.out([flat._mul(fx, fy)]) == [x * y]
-    assert fa == flat.into(a)  # no hook changed its operands
-    product = [domain._zero] * (len(a) + len(b) - 1)
+        assert nested(domain._add(x, y)) == nested(x) + nested(y)
+        assert nested(domain._sub(x, y)) == nested(x) - nested(y)
+        assert nested(domain._sub(x, x)) == constant(0)
+        assert nested(domain._neg(x)) == -nested(x)
+        assert nested(domain._mul(x, y)) == nested(x) * nested(y)
+    product = [constant(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            product[i + j] = product[i + j] + x * y
-    assert flat.out(flat._mul_lists(fa, fb)) == product
+            product[i + j] = product[i + j] + nested(x) * nested(y)
+    assert [nested(v) for v in domain._mul_lists(a, b)] == product
     n = min(len(a), len(b))
-    dot = domain._zero
+    dot = constant(0)
     for x, y in zip(a, b):
-        dot = dot + x * y
-    assert flat.out([flat._dot(fa[:n], fb[:n])]) == [dot]
+        dot = dot + nested(x) * nested(y)
+    assert nested(domain._dot(a[:n], b[:n])) == dot
+    assert [dict(v) for v in a + b] == operands
     d = data.draw(st.sampled_from([2, 3, 5]))
-    assert flat.out([flat._invert_integer(d)]) == [domain._invert_integer(d)]
+    assert nested(domain._invert_integer(d)) == constant(domain.base.invert_integer(d))
 
 
 def test_tower_operation_counts(monkeypatch):
     """No hidden recursion in towers.  While decompose (and with it
     approx_root) runs over QQ[y][z] there is no Poly sum, difference,
     negation or product on any level and no Fraction product; Fractions
-    are added only where a flat sum meets two ground terms with one key.
-    decompose makes exactly the d - 1 flat list products of q^2 .. q^d,
-    and variety_equations(10, 2) one.  The flat products, and the tower
-    kernel behind Poly.__mul__, add no Fraction either: they multiply
-    integer numerators and make one Fraction per output term."""
+    are added only where a sum of maps meets two ground terms with one
+    key.  decompose makes exactly the d - 1 list products of q^2 ..
+    q^d, and variety_equations(10, 2) one.  The ring's products, the
+    kernel behind Poly.__mul__ included, add no Fraction either: they
+    multiply integer numerators and make one Fraction per output term."""
     context = []  # the labels of the wrapped calls now running
     ops = Counter()  # (operation, innermost label) -> calls
     for owner, names in (
@@ -358,13 +397,9 @@ def test_tower_operation_counts(monkeypatch):
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-    for owner, names, label in (
-        (Flat, ("_add", "_sub"), "sum"),
-        (Flat, ("_mul", "_dot", "_mul_lists"), "flat product"),
-        (PolynomialRing, ("_mul_lists",), "tower kernel"),
-    ):
+    for names, label in ((("_add", "_sub"), "sum"), (("_mul", "_dot", "_mul_lists"), "product")):
         for name in names:
-            original = getattr(owner, name)
+            original = getattr(PolynomialRing, name)
 
             def labelled(*args, _original=original, _label=label, _name=name):
                 ops[_label, _name] += 1
@@ -374,12 +409,12 @@ def test_tower_operation_counts(monkeypatch):
                 finally:
                     context.pop()
 
-            monkeypatch.setattr(owner, name, labelled)
+            monkeypatch.setattr(PolynomialRing, name, labelled)
 
     def assert_flat(run, list_products):
         ops.clear()
         run()
-        assert ops["flat product", "_mul_lists"] == list_products
+        assert ops["product", "_mul_lists"] == list_products
         assert ops["sum", "_sub"] > 0
         assert not [op for op in ops if op[0].startswith("Poly.")]
         assert set(op for op in ops if op[0].startswith("Fraction.")) <= {("Fraction.__add__", "sum")}
@@ -391,37 +426,27 @@ def test_tower_operation_counts(monkeypatch):
     assert_flat(lambda: variety_equations(10, 2), 1)
     ops.clear()
     p * p
-    working_dot(QQYZ, p.values, p.values)
-    assert ops["tower kernel", "_mul_lists"] > 0 and ops["flat product", "_dot"] == 1
-    assert not [op for op in ops if op[1] in ("tower kernel", "flat product")]
+    QQYZ._dot(p.values, p.values)
+    assert ops["product", "_mul_lists"] == 1 and ops["product", "_dot"] == 1
+    assert not [op for op in ops if op[1] == "product"]
 
 
 def test_tower_round_trips(monkeypatch):
-    """Over a tower decompose flattens p, and its Flat the ring's one,
-    and nests h, q and r once each: q goes from the root to the split
-    as flat maps.  variety_equations starts from flat maps and nests
-    only its equations."""
-    calls = Counter()
-    modules = [module for name, module in sys.modules.items() if name.startswith("polydecomp")]
-    for name in ("flatten", "nest"):
-        original = getattr(sparse, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module in modules:  # wherever the name is bound
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    """Over a tower the stored values are the maps the algorithms
+    compute on, so decompose builds no Poly but its results h, q and
+    r, and variety_equations none at all."""
+    built = []
+    original = Poly._of.__func__
+    monkeypatch.setattr(Poly, "_of", classmethod(lambda cls, *args: built.append(args) or original(cls, *args)))
     rng = random.Random(16)
     for d in (2, 3):
         p = rand_poly(rng, QQYZ, "x", 2 * d, monic=True)
-        calls.clear()
+        built.clear()
         decompose(p, d)
-        assert calls["flatten"] <= 2 and calls["nest"] == 3
-    calls.clear()
+        assert len(built) == 3
+    built.clear()
     variety_equations(10, 2)
-    assert calls["flatten"] <= 1 and calls["nest"] == 1
+    assert built == []
 
 
 @pytest.mark.parametrize("domain", [QQ, PrimeField(1000003), PrimeField(5)])
