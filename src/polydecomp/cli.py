@@ -36,8 +36,9 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .approot import approx_root
@@ -85,22 +86,18 @@ class UsageError(PolyDecompError):
 # parsing
 
 
-# whitespace matches no alternative, so finditer skips it
-_TOKEN = re.compile(
-    rf"(?P<number>[0-9]+)|(?P<ident>{VARIABLE_NAME.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S)"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) triples, an operator being its own kind."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind, value, start = match.lastgroup, match.group(), match.start()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", start)
-        tokens.append((value if kind == "op" else kind, value, start))
-    tokens.append(("end", "", len(text)))
-    return tokens
+# the kinds of token in the order tried, then a bad character; whitespace
+# matches no alternative, so findall skips it
+_RULES = {"number": "[0-9]+", "ident": VARIABLE_NAME.pattern, "op": "[-+*^()/]"}
+_TOKEN = re.compile("|".join(_RULES.values()) + r"|\S")
+# a token's kind by its first character, read off the rules (which are
+# ASCII; the first rule wins), an operator being its own kind
+_KINDS = {
+    c: c if kind == "op" else kind
+    for kind, rule in reversed(_RULES.items())
+    for c in map(chr, range(128))
+    if re.match(rule, c)
+}
 
 
 def _norm_bits(terms: dict, field: Domain) -> int:
@@ -120,13 +117,6 @@ def _norm_bits(terms: dict, field: Domain) -> int:
     return largest + common + (len(terms) - 1).bit_length()
 
 
-def _int(tok: tuple[str, str, int]) -> int:
-    try:
-        return int(tok[1])
-    except ValueError:  # beyond the interpreter's int/str digit limit
-        raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
-
-
 class _Parser:
     """Recursive descent over the token list in two passes.
 
@@ -136,8 +126,8 @@ class _Parser:
 
         leaf      (value, key)              value * the monomial key
         sum       ("+", degrees, children)
-        product   ("*", degrees, factors, offsets of the '*'s)
-        power     ("^", degrees, base, e, offset of the '^')
+        product   ("*", degrees, factors, token indices of the '*'s)
+        power     ("^", degrees, base, e, token index of the '^')
         negation  ("-", degrees, node)
 
     Keys and degrees list the main variable, then the tower levels from
@@ -147,63 +137,80 @@ class _Parser:
     ConstantTooLarge: it computes maps {key: raw ground value} without
     zero values, sums and negations with the field's hooks, in place,
     since a map belongs to the node that returned it, and products on
-    integer numerators (sparse.py).
+    integer numerators (sparse.py).  Tokens are read by index, a list of
+    kinds beside a list of texts, ending in an "end" token whose text is
+    "end of input"; an error gives its token's character offset (``at``).
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
-        self.tokens = _tokenize(text)
+        self.text, self.texts = text, _TOKEN.findall(text)
+        self.kinds = list(map(_KINDS.get, map(itemgetter(0), self.texts))) + ["end"]
+        if None in self.kinds:
+            index = self.kinds.index(None)
+            raise ParseError(f"unexpected character {self.texts[index]!r}", self.at(index))
+        self.texts.append("end of input")
         self.index = self.depth = 0
         self.field = field
         self.one = field._one
         self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
         self.constant = (0,) * len(levels)
 
+    def at(self, index: int) -> int:
+        """The character offset of token ``index``, found again: only errors need it."""
+        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return match.start() if match else len(self.text)
+
     def parse(self) -> dict:
         children = self.expr()
-        kind, text, pos = self.tokens[self.index]
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", pos)
+        if self.kinds[self.index] != "end":
+            raise ParseError(f"unexpected {self.texts[self.index]!r}", self.at(self.index))
         return self.evaluate(("+", (), children))
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
+    def expect(self, kind: str) -> int:
+        """The index of the next token, which must be of ``kind``."""
+        index = self.index
         self.index += 1
-        if tok[0] != kind:
-            shown = tok[1] if tok[0] != "end" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2])
-        return tok
+        if self.kinds[index] != kind:
+            raise ParseError(f"expected {kind!r}, found {self.texts[index]!r}", self.at(index))
+        return index
+
+    def integer(self, index: int) -> int:
+        try:
+            return int(self.texts[index])
+        except ValueError:  # beyond the interpreter's int/str digit limit
+            message = f"literal of {len(self.texts[index])} digits is too long"
+            raise ParseError(message, self.at(index)) from None
 
     def expr(self) -> list:
         """The terms of a sum, each with its sign applied."""
         children, negative = [], False
         while True:
             children.append(self.negate(self.term()) if negative else self.term())
-            op = self.tokens[self.index][0]
+            op = self.kinds[self.index]
             if op != "+" and op != "-":
                 return children
             negative = op == "-"
             self.index += 1
 
     def term(self) -> tuple:
-        tokens, factors, stars = self.tokens, [], []
+        kinds, factors, stars = self.kinds, [], []
         degrees, literal, foldable = self.constant, None, True  # literal: not a variable power
         while True:
-            variable = tokens[self.index][0] == "ident"
+            variable = kinds[self.index] == "ident"
             node = self.factor()
             if not variable:
                 foldable, literal = foldable and literal is None and len(node) == 2, node
             degrees = tuple(map(add, degrees, node[1]))
             if factors:
-                _check_degree(degrees, stars[-1])
+                self.check_degree(degrees, stars[-1])
             factors.append(node)
-            kind, _, pos = tokens[self.index]
-            if kind != "*":
+            if kinds[self.index] != "*":
                 break
-            stars.append(pos)
+            stars.append(self.index)
             self.index += 1
         if len(factors) == 1:
             return node
-        # No bits check: _int caps a literal at the interpreter's int/str
+        # No bits check: `integer` caps a literal at the interpreter's int/str
         # digit limit, about 14k bits, and a variable power adds 2 norm
         # bits, so every check of the product would be far below the bound.
         if foldable:
@@ -212,52 +219,53 @@ class _Parser:
 
     def factor(self) -> tuple:
         # a variable power or an integer literal is read here, with no rule call
-        tokens = self.tokens
-        kind, text, pos = tokens[self.index]
+        kinds, index = self.kinds, self.index
+        kind = kinds[index]
         variable = kind == "ident"
         if variable:
+            text = self.texts[index]
             if text not in self.units:
-                raise UnknownVariable(f"unknown variable {text!r}", pos)
+                raise UnknownVariable(f"unknown variable {text!r}", self.at(index))
             node = self.one, self.units[text]
             self.index += 1
-        elif kind == "number" and tokens[self.index + 1][0] != "/":
-            node = self.field._canonical(_int(tokens[self.index])), self.constant
+        elif kind == "number" and kinds[index + 1] != "/":
+            node = self.field._canonical(self.integer(index)), self.constant
             self.index += 1
         else:
             node = self.atom()
-        kind, _, pos = tokens[self.index]
-        if kind != "^":
+        caret = self.index
+        if kinds[caret] != "^":
             return node
         self.index += 1
-        tok = self.expect("number")
-        e = _int(tok)
+        index = self.expect("number")
+        e = self.integer(index)
         if e > MAX_DEGREE:
-            raise ParseError(f"exponent {e} is too large", tok[2])
+            raise ParseError(f"exponent {e} is too large", self.at(index))
         degrees = tuple(e * a for a in node[1])
         if variable:  # of degree e, within the bound
             return self.one, degrees
-        return "^", _check_degree(degrees, pos), node, e, pos
+        return "^", self.check_degree(degrees, caret), node, e, caret
 
     def atom(self) -> tuple:
-        tok = self.tokens[self.index]
+        index = self.index
         self.index += 1
-        kind, text, pos = tok
+        kind = self.kinds[index]
         if kind == "number":  # a numerator, since factor reads integers
-            num = _int(tok)
+            num = self.integer(index)
             self.index += 1
-            den_tok = self.expect("number")
-            den = _int(den_tok)
+            den_index = self.expect("number")
+            den = self.integer(den_index)
             if den == 0:
-                raise DivisionByZeroLiteral("denominator is zero", den_tok[2])
+                raise DivisionByZeroLiteral("denominator is zero", self.at(den_index))
             try:
                 return self.field._canonical(Fraction(num, den)), self.constant
             except NotInvertible:
                 raise DivisionByZeroLiteral(
-                    f"denominator {den} is zero in {self.field}", den_tok[2]
+                    f"denominator {den} is zero in {self.field}", self.at(den_index)
                 ) from None
         if kind in ("-", "("):
             if self.depth == MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.at(index))
             self.depth += 1
             if kind == "-":
                 node = self.negate(self.factor())
@@ -269,8 +277,7 @@ class _Parser:
                     node = "+", tuple(map(max, *(n[1] for n in children))), children
             self.depth -= 1
             return node
-        shown = text if kind != "end" else "end of input"
-        raise ParseError(f"unexpected {shown!r}", pos)
+        raise ParseError(f"unexpected {self.texts[index]!r}", self.at(index))
 
     def negate(self, node: tuple) -> tuple:
         if len(node) == 2:
@@ -298,15 +305,15 @@ class _Parser:
         if op == "-":
             return negate(self.evaluate(node[2]), field)
         if op == "^":
-            _, _, base, e, pos = node
+            _, _, base, e, caret = node
             terms = self.evaluate(base)
-            _check_bits(e * _norm_bits(terms, field), pos)
+            self.check_bits(e * _norm_bits(terms, field), caret)
             return self.power(terms, e)
         _, _, factors, stars = node
         terms = self.evaluate(factors[0])
-        for factor, pos in zip(factors[1:], stars):
+        for factor, star in zip(factors[1:], stars):
             rhs = self.evaluate(factor)
-            _check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), pos)
+            self.check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), star)
             terms = product([(terms, rhs)], field)
         return terms
 
@@ -320,18 +327,16 @@ class _Parser:
                 a = product([(a, a)], self.field)
         return result
 
+    def check_degree(self, degrees: tuple[int, ...], index: int) -> tuple[int, ...]:
+        if max(degrees) > MAX_DEGREE:
+            message = f"degree {max(degrees)} is above the bound {MAX_DEGREE}"
+            raise DegreeTooLarge(message, self.at(index))
+        return degrees
 
-def _check_degree(degrees: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    if max(degrees) > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {max(degrees)} is above the bound {MAX_DEGREE}", pos)
-    return degrees
-
-
-def _check_bits(bits: int, pos: int) -> None:
-    if bits > MAX_COEFF_BITS:
-        raise ConstantTooLarge(
-            f"coefficients could reach {bits} bits, above the bound {MAX_COEFF_BITS}", pos
-        )
+    def check_bits(self, bits: int, index: int) -> None:
+        if bits > MAX_COEFF_BITS:
+            message = f"coefficients could reach {bits} bits, above the bound {MAX_COEFF_BITS}"
+            raise ConstantTooLarge(message, self.at(index))
 
 
 def parse_poly(

@@ -13,11 +13,12 @@ already found: at x^i the coefficient left is c = e[i] minus the sum of
 h_j * (q^j)[i] over i/m < j < d - 1, every such h_j being found by
 then (h_(d-1) is 0 and h_d is in e).  A nonzero c goes to h as
 c*t^(i/m) when m divides i, since q^(i/m) is monic; otherwise it goes
-to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, O(n^2)
-ring operations for n = deg p, and each coefficient one dot product
-over at most d - 2 terms, so the whole split is O(n^2).  ``split``
-runs it on the stored values with the domain's hooks, with Q's values
-from ``approot.root``.
+to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, each
+one big-int multiply (``domain._convolve``), and each coefficient one
+dot product over at most d - 2 terms, so the split is O(n*d) ring
+operations for n = deg p besides the products.  ``split`` runs it on
+the stored values with the domain's hooks, with Q's values from
+``approot.root``.
 """
 
 from __future__ import annotations

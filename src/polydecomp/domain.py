@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from struct import pack, unpack
 from typing import Sequence
 
 from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
@@ -119,9 +120,10 @@ class Domain:
     wrap them.
 
     A Poly stores raw values and computes with these hooks and with each
-    subclass's list kernels, the product _mul_lists and _dot.  They sum
-    int products of numerators over one common denominator and divide
-    each output term once (_ratio: a Fraction over Q, mod p over GF(p)).
+    subclass's list kernels, the product _mul_lists and _dot.  They work
+    on int numerators over one common denominator, multiply lists as big
+    ints (``_convolve``) and divide each output term once (_ratio: a
+    Fraction over Q, mod p over GF(p)).
     approx_root, decompose and variety_equations compute on the stored
     values with the same hooks.  ``_join`` maps a list of values to one
     map of ground terms keyed by list index, then exponents, and
@@ -190,13 +192,46 @@ class Domain:
 
 
 def _convolve(a: list, b: list) -> list:
-    """The unreduced product of two nonempty int lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    """The unreduced product of two nonempty int lists, by Kronecker
+    substitution: each list packed into one int, in slots wide enough for
+    any output coefficient, one multiply, and the slots read back.  Every
+    slot is as wide as the widest output, so a term of more than 64 bits
+    plus twice the mean bit length of both lists is left out and adds its
+    own row at its own size: the packed ints stay within a few times the
+    operands' bits plus a word per slot."""
+    n = len(a) + len(b) - 1
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    rows = []
+    if max(top_a, top_b).bit_length() > 64:
+        cap = 2 * (sum(map(int.bit_length, a)) + sum(map(int.bit_length, b))) // (n + 1) + 64
+        rows = [(i, x, b) for i, x in enumerate(a) if x.bit_length() > cap]
+        a = [0 if x.bit_length() > cap else x for x in a]
+        rows += [(j, y, a) for j, y in enumerate(b) if y.bit_length() > cap]
+        b = [0 if y.bit_length() > cap else y for y in b]
+        top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    # bounds every |a[i]|, |b[j]| and |sum of a[i] * b[j]|
+    top = max(top_a * top_b * min(len(a), len(b)), top_a, top_b)
+    w = max(8, top.bit_length() // 8 + 1)  # bytes of a signed slot
+    half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")  # each slot's top bit
+    packed = ((_pack(a, w, half) * _pack(b, w, half) + half) ^ half).to_bytes(w * n, "little")
+    if w == 8:
+        out = list(unpack(f"<{n}q", packed))
+    else:
+        out = [int.from_bytes(packed[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
+    for i, x, other in rows:
+        out[i : i + len(other)] = [o + x * y for o, y in zip(out[i : i + len(other)], other)]
     return out
+
+
+def _pack(values: list, width: int, half: int) -> int:
+    """The sum of values[i] * 2**(8 * width * i) from the values' two's
+    complement slots, little-endian (``struct`` for words, twice as fast
+    as ``to_bytes``): flipping, then subtracting, each slot's top bit
+    cancels the borrow that a negative value takes from the slot above."""
+    slots = pack(f"<{len(values)}q", *values) if width == 8 else b"".join(
+        [v.to_bytes(width, "little", signed=True) for v in values]
+    )
+    return (int.from_bytes(slots, "little") ^ half) - half
 
 
 @dataclass(unsafe_hash=True)
@@ -238,17 +273,17 @@ class Rationals(Domain):
 
 
 def _is_prime(n: int) -> bool:
-    """Trial division, adequate for word-sized candidates."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which no composite below
+    3215031751 passes (Jaeschke 1993), so exact for every p < 2**31."""
+    if n < 2 or n % 2 == 0 or n in (3, 5, 7):
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    # n - 1 = odd * 2**s: a**odd is 1, or squares to -1 within s - 1 steps
+    return all(
+        pow(a, odd, n) == 1 or n - 1 in {pow(a, odd << j, n) for j in range(s)}
+        for a in (2, 3, 5, 7)
+    )
 
 
 @dataclass(unsafe_hash=True)
@@ -320,8 +355,9 @@ class PolynomialRing(Domain):
     in QQ[y][z], z*y^2 + 3 is {(1, 2): 1, (0, 0): 3}.  Sums merge maps
     with the ground field's hooks and products are one
     ``sparse.product``; no hook changes its operands.  A Poly over
-    ``base`` in ``variable`` coerces to the map of its terms, and
-    ``poly.unfold`` gives it back for printing.  Nesting rings gives
+    ``base`` in ``variable`` coerces to the map of its terms, a ``Terms``
+    map of this ring's levels to itself with canonical values and no zero,
+    and ``poly.unfold`` gives a value back as a Poly.  Nesting rings gives
     multivariate coefficients; the variable being adjoined must not
     already occur deeper in the tower.
     """
@@ -340,6 +376,14 @@ class PolynomialRing(Domain):
     def _canonical(self, value):
         from .poly import Poly
 
+        if isinstance(value, dict):  # a raw value, keyed by one exponent per level
+            n = len(next(iter(self._one)))
+            if type(value) is not Terms or not all(
+                type(k) is tuple and len(k) == n and all(type(e) is int and e >= 0 for e in k)
+                for k in value
+            ):
+                raise DomainMismatch(f"a map not keyed by {n} exponents does not fit {self}")
+            return Terms({k: c for k, v in value.items() if (c := self._ground._value(v))})
         if not isinstance(value, Poly):
             return Terms(self.base._join((self.base._value(value),)))
         if value.domain == self.base and value.variable == self.variable:

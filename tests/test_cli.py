@@ -113,6 +113,39 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x^" + "2" * 5000, QQ, ["x"])
     assert info.value.position == 2
+    # offsets count the whitespace skipped between tokens, at every raise site
+    spaced = [
+        ("  3 *  w", ["x"], UnknownVariable, 7),
+        ("x +\tw", ["x"], UnknownVariable, 4),
+        ("x\t*\ty  *\n z", ["x", "y"], UnknownVariable, 10),
+        ("(2^10000)^100  *  (2^10000)^100", ["x"], ConstantTooLarge, 15),
+        ("(2^10000 + x)  ^  200", ["x"], ConstantTooLarge, 15),
+        ("(x^6000)  ^  2", ["x"], DegreeTooLarge, 10),
+        ("x^6000 *  x^6000", ["x"], DegreeTooLarge, 7),
+        ("  x + \t 1 ) ", ["x"], ParseError, 10),
+        (" x ^ \t y", ["x", "y"], ParseError, 7),
+        ("\t( x + 1\n", ["x"], ParseError, 9),
+        (" 1 / 0 ", ["x"], DivisionByZeroLiteral, 5),
+        (" x + 1 $", ["x"], ParseError, 7),
+        ("  x^ 3 + 1" + "1" * 5000, ["x"], ParseError, 9),
+    ]
+    for text, variables, error, position in spaced:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, QQ, variables)
+        assert (type(info.value), info.value.position) == (error, position), text
+
+
+def test_token_kinds_follow_the_token_rules():
+    """The first-character kind table agrees with the token rules on every
+    character of the Basic Multilingual Plane, so widening the rule for
+    names (VARIABLE_NAME) cannot leave a name start classed as bad."""
+    for c in map(chr, range(0x10000)):
+        kind = next((k for k, rule in cli._RULES.items() if re.match(rule, c)), None)
+        assert cli._KINDS.get(c) == (c if kind == "op" else kind), repr(c)
+        if cli.VARIABLE_NAME.match(c):
+            assert kind == "ident", repr(c)
+        if cli._TOKEN.fullmatch(c) is None:
+            assert c.isspace(), repr(c)
 
 
 def test_parse_nesting_depth_is_bounded():

@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,9 @@ from polydecomp import (
     ground_domain,
     polynomial_tower,
 )
+from polydecomp.domain import _is_prime
 from polydecomp.poly import descend, unfold
+from polydecomp.sparse import Terms
 from support import assert_canonical_element, rand_element, rand_fraction, specialize
 
 DOMAINS = [
@@ -147,8 +150,21 @@ def test_prime_validation():
             PrimeField(bad)
     with pytest.raises(TypeError):
         PrimeField("5")
-    # largest allowed prime goes through trial division fine
+    # largest allowed prime goes through the primality test fine
     assert PrimeField(2**31 - 1).p == 2**31 - 1
+
+
+def test_primality_equals_trial_division():
+    def trial(n):
+        return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if trial(n)]
+    assert _is_prime(2**31 - 1) and trial(2**31 - 1)
+    # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    for n in (2047, 3277, 4033, 1373653, 25326001):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
 
 
 def test_residues_are_canonical():
@@ -277,3 +293,19 @@ def test_tower_element_lifting():
     lifted = tower.element(ground)
     assert descend(tower, lifted.value) == (Rationals(), ground.value)
     assert lifted + tower.element(1) == tower.element(Fraction(5, 2))
+
+
+def test_raw_tower_values_coerce_to_themselves():
+    tower = polynomial_tower(Rationals(), ["y", "z"])
+    y, z = tower.generator("y"), tower.generator("z")
+    p = Poly(tower, "x", [y * z, tower.zero, tower.one, z + tower.element(Fraction(1, 2))])
+    assert Poly(p.domain, p.variable, p.values) == p
+    assert Poly(tower, "x", [tower._one]) == Poly.constant(tower, "x", 1)
+    # values are canonicalized by the ground field, and zeros dropped
+    gf = polynomial_tower(PrimeField(7), ["u"])
+    assert gf.element(Terms({(1,): 9, (0,): 7})) == gf.element(2) * gf.generator()
+    assert_canonical_element(gf.element(Terms({(1,): 9, (0,): 7})))
+    # keys must be exponent tuples, one per level
+    for bad in (Terms({(1,): 1}), Terms({(0, 0, 0): 1}), Terms({(0, -1): 1}), {(0, 0): 1}):
+        with pytest.raises(DomainMismatch):
+            Poly(tower, "x", [bad])

@@ -257,6 +257,110 @@ def test_kernels_equal_schoolbook(domain, data):
     assert domain._dot([a.value for a in fs], [b.value for b in gs]) == expected.value
 
 
+WORD = 2**63  # a product whose coefficients stay below it packs into 64-bit slots
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(data=st.data())
+def test_packed_products_at_the_slot_boundary(data):
+    """QQ products whose coefficient bound B = max|f| * max|g| *
+    min(len f, len g) lies just below 2^63 or just above it and is
+    reached by one output coefficient, with negative numerators in both
+    operands, against the schoolbook product."""
+    k = data.draw(st.integers(1, 8), label="min length")
+    m = data.draw(st.integers(1, 2**20), label="max |g|")
+    n = (WORD - 1) // (m * k) + data.draw(st.integers(0, 1), label="past the word")
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    sign = data.draw(st.sampled_from([1, -1]))
+    tail = data.draw(st.lists(st.integers(-m, m), max_size=6))
+    f = [n * s for s in signs]
+    # sum f[i] * g[k - 1 - i] is sign * n * m * k = B in absolute value
+    g = [sign * m * s for s in reversed(signs)] + tail
+    if data.draw(st.booleans()):
+        f, g = g, f
+    f, g = Poly(QQ, "x", f), Poly(QQ, "x", g)
+    assert f * g == schoolbook_product(f, g)
+    # the case lies on the side of the word that was drawn
+    assert (n * m * k < WORD) == (n == (WORD - 1) // (m * k))
+
+
+def test_packed_products_of_edge_shapes():
+    """Length-1 lists, all-zero operands and 1 x 200 lists, against the
+    schoolbook product."""
+    rng = random.Random(18)
+    wide = [Fraction(rng.randrange(-(2**100), 2**100), rng.randrange(1, 2**20)) for _ in range(7)]
+    for x, y in ((wide[0], wide[1]), (-(2**62), 2), (2**62, -2), (WORD, 1), (-WORD, -WORD)):
+        f, g = Poly(QQ, "x", [x]), Poly(QQ, "x", [y])
+        assert f * g == schoolbook_product(f, g)
+    zeros = [QQ._zero] * 3
+    assert QQ._mul_lists(zeros, wide) == QQ._mul_lists(wide, zeros) == [QQ._zero] * 9
+    p = MERSENNE_31.p
+    assert MERSENNE_31._mul_lists([0, 0], [p - 1] * 5) == [0] * 6
+    long = Poly(MERSENNE_31, "x", [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(200)])
+    for c in (1, p - 1, rng.randrange(p)):
+        short = Poly(MERSENNE_31, "x", [c])
+        assert short * long == schoolbook_product(short, long)
+        assert long * short == schoolbook_product(long, short)
+
+
+def _int_product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(data=st.data())
+def test_packed_products_with_wide_terms(data):
+    """QQ products of word-sized and zero terms with a few terms of up to
+    3000 bits in either operand or both, which go to rows outside the
+    packing, against the schoolbook product."""
+    term = st.one_of(
+        st.just(0), st.integers(-(2**70), 2**70), st.integers(-(2**3000), 2**3000).filter(bool)
+    )
+    f, g = (Poly(QQ, "x", data.draw(st.lists(term, min_size=1, max_size=24))) for _ in range(2))
+    assert f * g == schoolbook_product(f, g)
+
+
+def test_wide_terms_keep_the_packing_small(monkeypatch):
+    """A term far wider than the rest of both lists adds its own row, so
+    the packed ints stay within 4 times the operands' bits plus 256 bits
+    a slot: (x^666 + 2^20000) * x^333, the Horner step of verify on
+    x^999 + 2^20000*x^333 + 1 that once packed 1000 slots of 2.5 kB;
+    a dense list with one wide term; a wide constant times a long list;
+    and wide negative terms in both operands."""
+    from polydecomp import domain
+
+    packed, pack = [], domain._pack
+
+    def recording(values, width, half):
+        packed.append(8 * width * len(values))
+        return pack(values, width, half)
+
+    monkeypatch.setattr(domain, "_pack", recording)
+    rng = random.Random(18)
+    wide = 2**20000 + 1
+
+    def small(n):
+        return [rng.randint(-9, 9) for _ in range(n)]
+
+    sparse = [wide] + [0] * 665 + [1]
+    dense = small(300)
+    dense[150] = wide
+    both = small(200)
+    both[3], both[170] = -wide, wide * 7
+    other = small(150)
+    other[0], other[149] = wide, -wide
+    shapes = ((sparse, [0] * 333 + [1]), (dense, small(300)), ([wide], small(500)), (both, other))
+    for a, b in shapes:
+        packed.clear()
+        assert domain._convolve(a, b) == _int_product(a, b)
+        assert sum(packed) <= 4 * sum(map(int.bit_length, a + b)) + 256 * (len(a) + len(b))
+        assert domain._convolve(b, a) == _int_product(a, b)
+
+
 @pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
 @settings(max_examples=25, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(data=st.data())
