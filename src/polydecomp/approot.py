@@ -19,11 +19,12 @@ one k at a time.  Only the top m + 1 coefficients of P are read, and
 the table costs O(d*m^2) ring operations and no polynomial product;
 the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
 times its number of terms.
-d must be invertible in the domain; nothing else is, so one recurrence
-serves Q, GF(p) with p <= m and towers over them.  ``root`` runs it on
-the stored values with the domain's hooks, over a tower on the maps of
-ground terms themselves, and returns Q's, which decompose uses as they
-are.
+The one division is by d (``_over``), which must be invertible; nothing
+else must be, so one recurrence serves Q, GF(p) with p <= m and towers.
+``root`` runs on ``_working`` values and returns Q's.  Over Q they are
+the ints of s^n * P(x/s), s = D*d^2 for D the lcm of the top m + 1
+denominators: b_k's denominator divides D^k * d^(2k-1) (the binomial
+series behind Abhyankar and Moh's approximate roots), so b_k * s^k is an int.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def check_root(p: Poly, d: int) -> None:
 
 def root(domain, top, d: int) -> list:
     """Q's values from those of P's top coefficients, a_k = top[m - k]."""
-    add, sub, mul, dot = domain._add, domain._sub, domain._mul, domain._dot
-    inv_d = domain._invert_integer(d)
+    add, sub, dot, over_d = domain._add, domain._sub, domain._dot, domain._over(d)
     m = len(top) - 1
     zero, one = domain._zero, domain._one
     b = [one]
@@ -64,7 +64,7 @@ def root(domain, top, d: int) -> list:
     for k in range(1, m + 1):
         # rest_1 = 0, and rest_(j+1) is read off row j
         rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
-        b_k = mul(sub(top[m - k], reduce(add, rests)), inv_d)
+        b_k = over_d(sub(top[m - k], reduce(add, rests)))
         b.append(b_k)
         if b_k:
             nonzero.append(k)
@@ -78,5 +78,6 @@ def root(domain, top, d: int) -> list:
 def approx_root(p: Poly, d: int) -> Poly:
     """The unique monic q with deg(p - q**d) < deg(p) - deg(p)//d."""
     check_root(p, d)
-    n = p.degree
-    return Poly._of(p.domain, p.variable, root(p.domain, p.values[n - n // d :], d))
+    m = p.degree // d
+    work, top, back = p.domain._working(p.values[-m - 1 :], d, m)
+    return Poly._of(p.domain, p.variable, back(root(work, top, d)))

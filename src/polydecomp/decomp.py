@@ -17,8 +17,8 @@ to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, each
 one big-int multiply (``domain._convolve``), and each coefficient one
 dot product over at most d - 2 terms, so the split is O(n*d) ring
 operations for n = deg p besides the products.  ``split`` runs it on
-the stored values with the domain's hooks, with Q's values from
-``approot.root``.
+working values, with Q's from ``approot.root``: over Q, s^n * p(x/s) as
+there, and h, q and r are divided by their powers of s once, at the end.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ def decompose(p: Poly, d: int) -> Decomposition:
     """Split monic p into h(q) + r; see the module docstring for the shape."""
     check_root(p, d)
     domain, var = p.domain, p.variable
-    h, q, r = split(domain, p.values, d)
-    h = Poly._of(domain, _outer_variable(domain), h)
-    return Decomposition(h, Poly._of(domain, var, q), Poly._of(domain, var, r), d)
+    work, values, back = domain._working(p.values, d, p.degree // d)
+    h, q, r = split(work, values, d)
+    h = Poly._of(domain, _outer_variable(domain), back(h, p.degree // d))
+    return Decomposition(h, Poly._of(domain, var, back(q)), Poly._of(domain, var, back(r)), d)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
-from operator import mul
+from operator import index, mul
 from struct import pack, unpack
 from typing import Sequence
 
@@ -119,16 +120,15 @@ class Domain:
     ``_one`` are set once, when the domain is made; ``zero`` and ``one``
     wrap them.
 
-    A Poly stores raw values and computes with these hooks and with each
-    subclass's list kernels, the product _mul_lists and _dot.  They work
-    on int numerators over one common denominator, multiply lists as big
-    ints (``_convolve``) and divide each output term once (_ratio: a
-    Fraction over Q, mod p over GF(p)).
-    approx_root, decompose and variety_equations compute on the stored
-    values with the same hooks.  ``_join`` maps a list of values to one
-    map of ground terms keyed by list index, then exponents, and
-    ``_split`` maps it back.  The kernels trust their values to be
-    canonical values of this domain.
+    A Poly stores raw values and computes with these hooks and the list
+    product _mul_lists, which multiplies int numerators over one common
+    denominator as big ints (``_convolve``) and divides each output term
+    once (_ratio: a Fraction over Q, mod p over GF(p)).  approx_root and
+    decompose add _dot and ``_over(d)`` and run on the values ``_working``
+    gives (over Q, those of ``_Integers``); variety_equations splits the
+    tower's own.  ``_join`` maps a list of values to one map of ground
+    terms keyed by list index, then exponents, and ``_split`` maps it
+    back.  The kernels trust their values to be canonical.
     """
 
     is_field = False
@@ -162,6 +162,16 @@ class Domain:
 
     def _invert_integer(self, m: int):
         return self._invert(self._canonical(m))
+
+    def _over(self, m: int):
+        """a -> a / m, for an integer m invertible here."""
+        inv = self._invert_integer(m)
+        return lambda a: self._mul(a, inv)
+
+    def _working(self, values, d: int, m: int):
+        """(domain, values, back) that root and split run on, for monic p with
+        Q of degree m; back(out, step) maps out's value i of weight step*(len-1-i)."""
+        return self, values, lambda out, step=1: out
 
     def _add(self, a, b):
         return a + b
@@ -235,6 +245,23 @@ def _pack(values: list, width: int, half: int) -> int:
 
 
 @dataclass(unsafe_hash=True)
+class _Integers(Domain):
+    """Where root and split run over Q: plain operators on the values of
+    ``Rationals._working``, ints but for low ones s does not clear."""
+
+    _canonical = index
+
+    def _over(self, m: int):
+        return lambda a: a // m
+
+    def _mul_lists(self, a, b):
+        return _convolve(a, b)
+
+    def _dot(self, xs, ys):
+        return sum(map(mul, xs, ys))
+
+
+@dataclass(unsafe_hash=True)
 class Rationals(Domain):
     """The field of rational numbers."""
 
@@ -262,11 +289,18 @@ class Rationals(Domain):
     def _ratio(self, num: int, den: int):
         return Fraction(num, den)
 
-    def _dot(self, xs, ys):
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        den = lcm(*dens)
-        num = sum([x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens)])
-        return Fraction(num, den)
+    def _working(self, values, d, m):
+        # s^n * p(x/s): s clears the top m + 1 values and so Q's (approot)
+        s = lcm(*(v.denominator for v in values[-m - 1 :])) * d * d
+        powers = [*accumulate(repeat(s, len(values) - 1), mul, initial=1)]
+        scaled = [
+            v * w if w % v.denominator else v.numerator * (w // v.denominator)
+            for v, w in zip(values, reversed(powers))
+        ]
+        return _Integers(), scaled, lambda out, step=1: [
+            Fraction(v, w) if v else self._zero
+            for v, w in zip(out, powers[::step][len(out) - 1 :: -1])
+        ]
 
     def __str__(self):
         return "QQ"

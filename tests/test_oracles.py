@@ -8,6 +8,7 @@ derandomized, so tier-1 draws the same cases, in the same time, on
 every run."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -28,8 +29,11 @@ from polydecomp import (
     is_decomposable_uni,
     polynomial_tower,
     variety_equations,
+    verify,
 )
+from polydecomp import approot, decomp
 from polydecomp.cli import parse_poly
+from polydecomp.domain import _Integers
 from polydecomp.poly import unfold
 from support import (
     SympyTower,
@@ -47,6 +51,7 @@ from support import (
 )
 
 QQ = Rationals()
+ZZ = _Integers()  # where approx_root and decompose run over QQ
 QQY = polynomial_tower(QQ, ["y"])
 GF7Y = polynomial_tower(PrimeField(7), ["y"])
 QQYZ = polynomial_tower(QQ, ["y", "z"])
@@ -174,6 +179,82 @@ def test_reduction_mod_p_commutes_with_algorithms(case):
     assert low.r == mod(dec.r)
 
 
+@st.composite
+def scaled_inputs(draw):
+    """(p, d): p monic over QQ of degree d*m, its denominators built
+    from 2, 3 and 5, which d in {2, 3, 4, 6, 8, 9, 12} shares, and its
+    numerators up to 200 bits.  Half the time p is an exact
+    composition h(q)."""
+    d = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    m = draw(st.integers(1, 4 if d < 8 else 2))
+    dens = st.builds(lambda i, j, k: 2**i * 3**j * 5**k, *[st.integers(0, 4)] * 3)
+    nums = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+    values = st.builds(Fraction, nums, dens)
+
+    def monic(degree, variable):
+        return Poly(QQ, variable, draw(st.lists(values, min_size=degree, max_size=degree)) + [1])
+
+    if draw(st.booleans()):
+        return monic(d, "t").compose(monic(m, "x")), d
+    return monic(d * m, "x"), d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(scaled_inputs())
+def test_scaled_integer_path_equals_oracles(case):
+    """Over QQ, approx_root and decompose run on s^n * p(x/s), s = D * d^2
+    for D the lcm of the top m + 1 denominators, and divide each output
+    once by its power of s.  Here p's denominators share primes with d,
+    as the d^(2k-1) in the root's denominators do, so a scale too small
+    for either, or a wrong power, leaves a wrong value; and a low
+    denominator that s does not clear leaves a Fraction among the ints.
+    Each part must equal the Fraction oracles' and pass verify."""
+    p, d = case
+    assert approx_root(p, d) == approx_root_by_powers(p, d)
+    fast, slow = decompose(p, d), decompose_by_peeling(p, d)
+    assert fast.q == slow.q
+    assert fast.h == slow.h
+    assert fast.r == slow.r
+    assert verify(p, fast).ok
+
+
+def test_scale_reads_only_the_top_denominators():
+    """s comes from the top m + 1 coefficients, all that the root reads,
+    so a huge denominator on a low coefficient stays on that coefficient
+    and does not widen the root table or q^2 .. q^d by powers of itself:
+    the scaled top is that of p without it, and the input splits in
+    milliseconds (with s over every denominator, a 2^-10000 there ran
+    for over five minutes)."""
+    base = parse_poly("x^200 + x^199", QQ, ["x"])
+    p = parse_poly("x^200 + x^199 + ((1/2)^10000)^10", QQ, ["x"])
+    assert QQ._working(p.values, 2, 100)[1][-101:] == QQ._working(base.values, 2, 100)[1][-101:]
+    start = time.perf_counter()
+    dec, low = decompose(p, 2), decompose(base, 2)
+    assert time.perf_counter() - start < 5
+    assert (dec.q, dec.r) == (low.q, low.r)
+    assert dec.h == low.h + Poly(QQ, "t", [Fraction(1, 2**100000)])
+    assert verify(p, dec).ok
+
+
+def test_verify_runs_no_root_or_split(monkeypatch):
+    """verify recomposes h(q) + r with Rationals' own products, so over
+    QQ it shares neither the root nor the split nor the integer working
+    domain with decompose, and stays an independent check."""
+    rng = random.Random(19)
+    cases = [(rand_poly(rng, QQ, "x", 2 * d, monic=True), d) for d in (2, 3, 4)]
+    decs = [decompose(p, d) for p, d in cases]
+
+    def entered(*args):
+        raise AssertionError("verify entered the decompose route")
+
+    for owner, name in ((approot, "root"), (decomp, "root"), (decomp, "split")):
+        monkeypatch.setattr(owner, name, entered)
+    for name in ("_add", "_sub", "_mul", "_dot", "_mul_lists", "_over"):
+        monkeypatch.setattr(_Integers, name, entered)
+    for (p, d), dec in zip(cases, decs):
+        assert verify(p, dec).ok
+
+
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
 def test_oracles_on_every_domain(domain):
     """The two oracle tests above may leave a domain undrawn, so each
@@ -206,6 +287,8 @@ def kernel_cases(domain):
     sums of products pass 2^62 many times over."""
     if domain == QQ:  # mixed denominators
         values = st.fractions(-10**6, 10**6, max_denominator=10**4).map(domain.element)
+    elif domain == ZZ:  # word-sized and wider
+        values = st.integers(-(2**80), 2**80).map(domain.element)
     else:
         values = _elements(domain)
     elements = st.one_of(st.just(domain.zero), values)
@@ -227,7 +310,9 @@ def assert_sums_equal_schoolbook(f, g):
 
 
 @pytest.mark.parametrize(
-    "domain", [QQ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY, GF7Y, QQYZ], ids=str
+    "domain",
+    [QQ, ZZ, PrimeField(2), PrimeField(1000003), MERSENNE_31, QQY, GF7Y, QQYZ],
+    ids=str,
 )
 # no shrink phase: each shrink step reruns 200-coefficient schoolbook
 # products, so a failure is reported as drawn, in seconds, not minutes
@@ -248,6 +333,8 @@ def test_kernels_equal_schoolbook(domain, data):
     assert_sums_equal_schoolbook(f, Poly(domain, "x", [-c for c in k.coeffs]))
     scalar = f.coeffs[-1]
     assert g * scalar == schoolbook_product(g, Poly(domain, "x", (scalar,)))
+    if domain == QQ:  # the root and split over QQ run on ZZ
+        return
     # the kernel of the root table and the decompose scan
     n = min(len(f.coeffs), len(g.coeffs))
     fs, gs = f.coeffs[:n], g.coeffs[:n]
@@ -557,9 +644,11 @@ def test_tower_round_trips(monkeypatch):
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_poly_operation_counts(monkeypatch, domain, d):
     """approx_root makes no product at all, and decompose exactly the
-    d - 1 list products of q^2 .. q^d and no compose or power."""
+    d - 1 list products of q^2 .. q^d, over QQ on the integers it scales
+    p to, and no compose or power."""
     calls = {"compose": 0, "__pow__": 0, "_mul_lists": 0}
-    for owner, name in ((Poly, "compose"), (Poly, "__pow__"), (type(domain), "_mul_lists")):
+    kernels = ((type(domain), "_mul_lists"), (_Integers, "_mul_lists"))
+    for owner, name in ((Poly, "compose"), (Poly, "__pow__"), *kernels):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original):
