@@ -11,9 +11,10 @@ vanishes *and* every coefficient of h is a constant of K; the second
 half is what fails for inputs like x^2 + y.
 
 ``variety_equations(n, d)`` runs the same split on the generic monic
-polynomial whose coefficients are fresh indeterminates a1 .. an, and
-keeps its remainder coefficients: the polynomial conditions that cut
-out the d-decomposable locus.
+polynomial whose coefficients are fresh indeterminates a1 .. an, on the
+integer values decompose takes (s = d^2), and keeps its remainder
+coefficients: the polynomial conditions that cut out the
+d-decomposable locus.
 
 ``brute_force_decompose`` is an independent exhaustive oracle over a
 prime field, used to cross-check the algebraic route on small inputs.
@@ -125,8 +126,9 @@ def variety_equations(n: int, d: int) -> VarietySystem:
     # x^i has the coefficient a_(n-i), and the tower's levels run from
     # a_n, so its one ground term has exponent 1 at level i
     generic = [Terms({tuple(int(j == i) for j in range(n)): ground._one}) for i in range(n + 1)]
-    r = split(ring, generic, d)[2]
     m = n // d
+    work, values, back = ring._working(generic, d, m)
+    r = back(split(work, values, d)[2])
     equations = tuple(Element(ring, r[i]) for i in range(n - m - 1, 0, -1) if i % m)
     return VarietySystem(n, d, names, equations)
 

@@ -17,8 +17,9 @@ to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, each
 one big-int multiply (``domain._convolve``), and each coefficient one
 dot product over at most d - 2 terms, so the split is O(n*d) ring
 operations for n = deg p besides the products.  ``split`` runs it on
-working values, with Q's from ``approot.root``: over Q, s^n * p(x/s) as
-there, and h, q and r are divided by their powers of s once, at the end.
+working values, with Q's from ``approot.root``: over Q and towers over
+Q, s^n * p(x/s) as there, and each ground term of h, q and r is divided
+by its power of s once, at the end.
 """
 
 from __future__ import annotations

@@ -123,15 +123,18 @@ class Domain:
     A Poly stores raw values and computes with these hooks and the list
     product _mul_lists, which multiplies int numerators over one common
     denominator as big ints (``_convolve``) and divides each output term
-    once (_ratio: a Fraction over Q, mod p over GF(p)).  approx_root and
-    decompose add _dot and ``_over(d)`` and run on the values ``_working``
-    gives (over Q, those of ``_Integers``); variety_equations splits the
-    tower's own.  ``_join`` maps a list of values to one map of ground
-    terms keyed by list index, then exponents, and ``_split`` maps it
-    back.  The kernels trust their values to be canonical.
+    once (_ratio: a Fraction over Q, mod p over GF(p)).  approx_root,
+    decompose and variety_equations add _dot and ``_over(d)`` and run on
+    the values ``_working`` gives: over Q and towers over Q, those of
+    the same domain over ``_Integers`` (``_integers``).  ``_join`` maps a
+    list of values to one map of ground terms keyed by list index, then
+    exponents, and ``_split`` maps it back.  ``_names`` holds the
+    variables of a tower.  The kernels trust their values to be canonical.
     """
 
     is_field = False
+    _integers = None
+    _names = frozenset()
 
     def __post_init__(self):
         self._zero, self._one = self._canonical(0), self._canonical(1)
@@ -170,8 +173,27 @@ class Domain:
 
     def _working(self, values, d: int, m: int):
         """(domain, values, back) that root and split run on, for monic p with
-        Q of degree m; back(out, step) maps out's value i of weight step*(len-1-i)."""
-        return self, values, lambda out, step=1: out
+        Q of degree m; back(out, step) maps out's value i of weight step*(len-1-i).
+        With ``_integers``, the values of s^n * p(x/s) there, s = D*d^2 for D
+        the lcm of the ground denominators of the top m + 1 values: s clears
+        them and so Q's (approot), and back divides each ground term once."""
+        ints = self._integers
+        if ints is None:
+            return self, values, lambda out, step=1: out
+        s = lcm(*(c.denominator for c in self._join(values[-m - 1 :]).values())) * d * d
+        powers = [*accumulate(repeat(s, len(values) - 1), mul, initial=1)]
+        scaled = ints._each(
+            values,
+            powers[::-1],
+            lambda c, w: c * w if w % c.denominator else c.numerator * (w // c.denominator),
+        )
+        return ints, scaled, lambda out, step=1: self._each(out, powers[::step][len(out) - 1 :: -1], Fraction)
+
+    def _each(self, values, weights, f) -> list:
+        """This domain's values with f(c, w) for each ground term c of
+        values[i], w = weights[i], where the values are those of the same
+        tower over another ground."""
+        return list(map(f, values, weights))
 
     def _add(self, a, b):
         return a + b
@@ -246,13 +268,18 @@ def _pack(values: list, width: int, half: int) -> int:
 
 @dataclass(unsafe_hash=True)
 class _Integers(Domain):
-    """Where root and split run over Q: plain operators on the values of
-    ``Rationals._working``, ints but for low ones s does not clear."""
+    """Where root and split run over Q, and the ground of the tower they
+    run on over a tower over Q: plain operators on the values of
+    ``Domain._working``, ints but for low ones s does not clear."""
 
     _canonical = index
 
     def _over(self, m: int):
         return lambda a: a // m
+
+    def _ratio(self, num: int, den: int):
+        # den is 1 unless a low value s does not clear is in the product
+        return num if den == 1 else Fraction(num, den)
 
     def _mul_lists(self, a, b):
         return _convolve(a, b)
@@ -266,6 +293,7 @@ class Rationals(Domain):
     """The field of rational numbers."""
 
     is_field = True
+    _integers = _Integers()
 
     def _canonical(self, value):
         return Fraction(value)
@@ -289,18 +317,10 @@ class Rationals(Domain):
     def _ratio(self, num: int, den: int):
         return Fraction(num, den)
 
-    def _working(self, values, d, m):
-        # s^n * p(x/s): s clears the top m + 1 values and so Q's (approot)
-        s = lcm(*(v.denominator for v in values[-m - 1 :])) * d * d
-        powers = [*accumulate(repeat(s, len(values) - 1), mul, initial=1)]
-        scaled = [
-            v * w if w % v.denominator else v.numerator * (w // v.denominator)
-            for v, w in zip(values, reversed(powers))
-        ]
-        return _Integers(), scaled, lambda out, step=1: [
-            Fraction(v, w) if v else self._zero
-            for v, w in zip(out, powers[::step][len(out) - 1 :: -1])
-        ]
+    def _each(self, values, weights, f):
+        # a zero has no ground term, and Fraction(0, w) would cost a gcd
+        zero = self._zero
+        return [f(v, w) if v else zero for v, w in zip(values, weights)]
 
     def __str__(self):
         return "QQ"
@@ -403,7 +423,10 @@ class PolynomialRing(Domain):
         if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
         check_variable(self.base, self.variable)
+        self._names = self.base._names | {self.variable}
         self._ground = ground_domain(self.base)
+        ints = self.base._integers
+        self._integers = None if ints is None else PolynomialRing(ints, self.variable)
         # from the base's values: canonicalizing 0 and 1 would descend the tower
         self._zero, self._one = Terms(), Terms(self.base._join((self.base._one,)))
 
@@ -429,6 +452,10 @@ class PolynomialRing(Domain):
 
     def _invert_integer(self, m: int):
         return Terms({key: self._ground._invert_integer(m) for key in self._one})
+
+    def _over(self, m: int):
+        over = self._ground._over(m)
+        return lambda a: Terms({key: over(c) for key, c in a.items()})
 
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""
@@ -465,6 +492,9 @@ class PolynomialRing(Domain):
         terms = product([(self._join(a), self._join(b))], self._ground)
         return self._split(terms, len(a) + len(b) - 1)
 
+    def _each(self, values, weights, f) -> list:
+        return [Terms({key: f(c, w) for key, c in v.items()}) for v, w in zip(values, weights)]
+
     def _join(self, values) -> dict:
         return {(i, *key): c for i, terms in enumerate(values) for key, c in terms.items()}
 
@@ -489,10 +519,8 @@ def check_variable(domain: Domain, name: str) -> None:
     ``domain``'s tower."""
     if not VARIABLE_NAME.fullmatch(name):
         raise ValueError(f"bad variable name {name!r}")
-    while isinstance(domain, PolynomialRing):
-        if domain.variable == name:
-            raise ValueError(f"variable {name!r} already occurs in the tower")
-        domain = domain.base
+    if name in domain._names:
+        raise ValueError(f"variable {name!r} already occurs in the tower")
 
 
 def polynomial_tower(base: Domain, names: Sequence[str]) -> Domain:

@@ -3,13 +3,16 @@ or fails with one stable error line, and no exception escapes.
 
 The texts are at most 8 characters over the grammar's alphabet, drawn
 either character by character or as sums of short terms, so the
-costliest draw is a dense power like (x+1)^99 and every call is cheap.
-Hypothesis is derandomized, so tier-1 runs the same calls every time.
+costliest draw is a dense power like (x+1)^99, and each call must
+return within SECONDS_PER_CALL.  A longer limit waits for a bound on
+the work of one input: (x+1)^9999 is 10 characters.  Hypothesis is
+derandomized, so tier-1 runs the same calls every time.
 """
 
 import contextlib
 import io
 import re
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,8 @@ TEXTS = st.one_of(
     st.text(ALPHABET, max_size=8),
     SUMS.map(lambda terms: "".join(sign + term for sign, term in terms)[1:9]),
 )
+# the slowest call drawn takes a few milliseconds, so only runaway work trips it
+SECONDS_PER_CALL = 3
 ERROR_LINE = re.compile(r"^error: ([A-Za-z]+): ")
 EXPORTED = [getattr(polydecomp, name) for name in polydecomp.__all__]
 CODES = {
@@ -64,8 +69,10 @@ def variety_argv():
 @given(st.one_of(poly_argv(), variety_argv()))
 def test_every_call_answers_or_names_its_error(argv):
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert time.perf_counter() - start < SECONDS_PER_CALL, argv
     assert code in (0, 1, 2), argv
     assert (code == 1) == bool(err.getvalue()), argv
     if code == 1:

@@ -31,9 +31,9 @@ from polydecomp import (
     variety_equations,
     verify,
 )
-from polydecomp import approot, decomp
+from polydecomp import approot, decide, decomp
 from polydecomp.cli import parse_poly
-from polydecomp.domain import _Integers
+from polydecomp.domain import Domain, _Integers
 from polydecomp.poly import unfold
 from support import (
     SympyTower,
@@ -179,69 +179,96 @@ def test_reduction_mod_p_commutes_with_algorithms(case):
     assert low.r == mod(dec.r)
 
 
+def _ground_valued(domain, values):
+    """Elements of QQ, QQ[y] or QQ[y][z] with ground values from ``values``:
+    over a tower, up to two terms per level."""
+    if domain == QQ:
+        return values.map(QQ.element)
+    coeffs = st.lists(_ground_valued(domain.base, values), max_size=2)
+    return coeffs.map(lambda cs: domain.element(Poly(domain.base, domain.variable, cs)))
+
+
 @st.composite
 def scaled_inputs(draw):
-    """(p, d): p monic over QQ of degree d*m, its denominators built
-    from 2, 3 and 5, which d in {2, 3, 4, 6, 8, 9, 12} shares, and its
-    numerators up to 200 bits.  Half the time p is an exact
-    composition h(q)."""
-    d = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
-    m = draw(st.integers(1, 4 if d < 8 else 2))
+    """(p, d): p monic over QQ, QQ[y] or QQ[y][z] of degree d*m, its
+    ground denominators built from 2, 3 and 5, which d in
+    {2, 3, 4, 6, 8, 9, 12} shares, in the top coefficients and in the
+    low ones, and its numerators up to 200 bits.  Half the time p is an
+    exact composition h(q)."""
+    domain = draw(st.sampled_from([QQ, QQ, QQY, QQYZ]))
+    d = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12] if domain == QQ else [2, 3, 4, 6]))
+    m = draw(st.integers(1, 4 if d < 6 or domain == QQ and d < 8 else 2))
     dens = st.builds(lambda i, j, k: 2**i * 3**j * 5**k, *[st.integers(0, 4)] * 3)
     nums = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
-    values = st.builds(Fraction, nums, dens)
+    values = _ground_valued(domain, st.builds(Fraction, nums, dens))
 
     def monic(degree, variable):
-        return Poly(QQ, variable, draw(st.lists(values, min_size=degree, max_size=degree)) + [1])
+        return Poly(domain, variable, draw(st.lists(values, min_size=degree, max_size=degree)) + [domain.one])
 
     if draw(st.booleans()):
         return monic(d, "t").compose(monic(m, "x")), d
     return monic(d * m, "x"), d
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, phases=UNSHRUNK)
+def _trimmed(values: list) -> tuple:
+    """A list of values as a Poly stores it: without trailing zeros."""
+    n = len(values)
+    while n and not values[n - 1]:
+        n -= 1
+    return tuple(values[:n])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(scaled_inputs())
 def test_scaled_integer_path_equals_oracles(case):
-    """Over QQ, approx_root and decompose run on s^n * p(x/s), s = D * d^2
-    for D the lcm of the top m + 1 denominators, and divide each output
-    once by its power of s.  Here p's denominators share primes with d,
-    as the d^(2k-1) in the root's denominators do, so a scale too small
-    for either, or a wrong power, leaves a wrong value; and a low
+    """Over QQ and towers over QQ, approx_root and decompose run on
+    s^n * p(x/s), s = D * d^2 for D the lcm of the ground denominators
+    of the top m + 1 coefficients, and divide each output term once by
+    its power of s.  Here p's denominators share primes with d, as the
+    d^(2k-1) in the root's denominators do, so a scale too small for
+    either, or a wrong power, leaves a wrong value; and a low
     denominator that s does not clear leaves a Fraction among the ints.
-    Each part must equal the Fraction oracles' and pass verify."""
+    Each part must equal the Fraction route's: over QQ the oracles', over
+    a tower ``decomp.split`` on p's own maps; and it must pass verify."""
     p, d = case
-    assert approx_root(p, d) == approx_root_by_powers(p, d)
-    fast, slow = decompose(p, d), decompose_by_peeling(p, d)
-    assert fast.q == slow.q
-    assert fast.h == slow.h
-    assert fast.r == slow.r
+    fast = decompose(p, d)
+    if p.domain == QQ:
+        assert approx_root(p, d) == approx_root_by_powers(p, d)
+        slow = decompose_by_peeling(p, d)
+        assert (fast.q, fast.h, fast.r) == (slow.q, slow.h, slow.r)
+    else:
+        h, q, r = map(_trimmed, decomp.split(p.domain, p.values, d))
+        assert approx_root(p, d).values == q
+        assert (fast.q.values, fast.h.values, fast.r.values) == (q, h, r)
     assert verify(p, fast).ok
 
 
 def test_scale_reads_only_the_top_denominators():
     """s comes from the top m + 1 coefficients, all that the root reads,
-    so a huge denominator on a low coefficient stays on that coefficient
-    and does not widen the root table or q^2 .. q^d by powers of itself:
-    the scaled top is that of p without it, and the input splits in
-    milliseconds (with s over every denominator, a 2^-10000 there ran
-    for over five minutes)."""
-    base = parse_poly("x^200 + x^199", QQ, ["x"])
-    p = parse_poly("x^200 + x^199 + ((1/2)^10000)^10", QQ, ["x"])
-    assert QQ._working(p.values, 2, 100)[1][-101:] == QQ._working(base.values, 2, 100)[1][-101:]
-    start = time.perf_counter()
-    dec, low = decompose(p, 2), decompose(base, 2)
-    assert time.perf_counter() - start < 5
-    assert (dec.q, dec.r) == (low.q, low.r)
-    assert dec.h == low.h + Poly(QQ, "t", [Fraction(1, 2**100000)])
-    assert verify(p, dec).ok
+    so a huge denominator on a low coefficient, over QQ or times y over
+    QQ[y], stays on that coefficient and does not widen the root table
+    or q^2 .. q^d by powers of itself: the scaled top is that of p
+    without it, and the input splits in milliseconds (with s over every
+    denominator, a 2^-10000 there ran for over five minutes)."""
+    for domain, names, low in ((QQ, ["x"], "((1/2)^10000)^10"), (QQY, ["x", "y"], "((1/2)^10000)^10*y")):
+        base = parse_poly("x^200 + x^199", QQ, names)
+        p = parse_poly(f"x^200 + x^199 + {low}", QQ, names)
+        assert domain._working(p.values, 2, 100)[1][-101:] == domain._working(base.values, 2, 100)[1][-101:]
+        start = time.perf_counter()
+        dec, top = decompose(p, 2), decompose(base, 2)
+        assert time.perf_counter() - start < 5
+        assert (dec.q, dec.r) == (top.q, top.r)
+        assert dec.h == top.h + Poly(domain, "t", [p.values[0]])
+        assert verify(p, dec).ok
 
 
 def test_verify_runs_no_root_or_split(monkeypatch):
-    """verify recomposes h(q) + r with Rationals' own products, so over
-    QQ it shares neither the root nor the split nor the integer working
-    domain with decompose, and stays an independent check."""
+    """verify recomposes h(q) + r with the domain's own products, so over
+    QQ and QQ[y] it shares neither the root nor the split nor the
+    integer working domain, or the tower over it, with decompose, and
+    stays an independent check."""
     rng = random.Random(19)
-    cases = [(rand_poly(rng, QQ, "x", 2 * d, monic=True), d) for d in (2, 3, 4)]
+    cases = [(rand_poly(rng, domain, "x", 2 * d, monic=True), d) for domain in (QQ, QQY) for d in (2, 3, 4)]
     decs = [decompose(p, d) for p, d in cases]
 
     def entered(*args):
@@ -249,8 +276,17 @@ def test_verify_runs_no_root_or_split(monkeypatch):
 
     for owner, name in ((approot, "root"), (decomp, "root"), (decomp, "split")):
         monkeypatch.setattr(owner, name, entered)
-    for name in ("_add", "_sub", "_mul", "_dot", "_mul_lists", "_over"):
+    for name in ("_add", "_sub", "_mul", "_neg", "_dot", "_mul_lists", "_over", "_ratio"):
         monkeypatch.setattr(_Integers, name, entered)
+    for name in ("_add", "_sub", "_mul", "_neg", "_dot", "_mul_lists", "_over"):
+        original = getattr(PolynomialRing, name)
+
+        def on_rationals(self, *args, _original=original):
+            if isinstance(self._ground, _Integers):
+                entered()
+            return _original(self, *args)
+
+        monkeypatch.setattr(PolynomialRing, name, on_rationals)
     for (p, d), dec in zip(cases, decs):
         assert verify(p, dec).ok
 
@@ -566,60 +602,101 @@ def test_flat_hooks_equal_nested_arithmetic(domain, data):
 
 
 def test_tower_operation_counts(monkeypatch):
-    """No hidden recursion in towers.  While decompose (and with it
-    approx_root) runs over QQ[y][z] there is no Poly sum, difference,
-    negation or product on any level and no Fraction product; Fractions
-    are added only where a sum of maps meets two ground terms with one
-    key.  decompose makes exactly the d - 1 list products of q^2 ..
-    q^d, and variety_equations(10, 2) one.  The ring's products, the
-    kernel behind Poly.__mul__ included, add no Fraction either: they
+    """No hidden recursion in towers, and no Fraction on the route.  While
+    decompose runs over QQ[y][z] on an input whose denominators s = D*d^2
+    clears, there is no Poly sum, difference, negation or product on any
+    level, and no Fraction operation at all but one Fraction made per
+    output term, where back divides it by its power of s: root and split
+    run on the ints of the integer tower, and the scaling makes none.
+    decompose makes exactly the d - 1 list products of q^2 .. q^d, and
+    variety_equations(10, 2) one, with the same Fraction rule inside
+    every wrapped call.  Over QQ the ring's products, the kernel behind
+    Poly.__mul__ included, do no Fraction arithmetic either: they
     multiply integer numerators and make one Fraction per output term."""
-    context = []  # the labels of the wrapped calls now running
-    ops = Counter()  # (operation, innermost label) -> calls
-    for owner, names in (
-        (Poly, ("__add__", "__sub__", "__neg__", "__mul__")),
-        (Fraction, ("__add__", "__sub__", "__mul__")),
-    ):
+    stack = []  # the labels of the wrapped calls now running
+    ops = Counter()  # (operation, labels running) -> calls
+    calls = Counter()  # wrapped ring hook -> calls
+
+    def record(op):
+        ops[op, tuple(stack)] += 1
+
+    original_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        record("Fraction.__new__")
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(new))
+    fraction_ops = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__floordiv__", "__neg__",
+    )
+    for owner, names in ((Poly, ("__add__", "__sub__", "__neg__", "__mul__")), (Fraction, fraction_ops)):
         for name in names:
             original = getattr(owner, name)
 
             def counted(*args, _original=original, _op=f"{owner.__name__}.{name}"):
-                ops[_op, context[-1] if context else None] += 1
+                record(_op)
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
+
+    def labelled(original, label, name=None):
+        def call(*args):
+            calls[name] += 1
+            stack.append(label)
+            try:
+                return original(*args)
+            finally:
+                stack.pop()
+
+        return call
+
     for names, label in ((("_add", "_sub"), "sum"), (("_mul", "_dot", "_mul_lists"), "product")):
         for name in names:
-            original = getattr(PolynomialRing, name)
+            monkeypatch.setattr(PolynomialRing, name, labelled(getattr(PolynomialRing, name), label, name))
+    for owner, name in ((decomp, "root"), (decomp, "split"), (decide, "split")):
+        monkeypatch.setattr(owner, name, labelled(getattr(owner, name), name))
+    working = Domain._working
 
-            def labelled(*args, _original=original, _label=label, _name=name):
-                ops[_label, _name] += 1
-                context.append(_label)
-                try:
-                    return _original(*args)
-                finally:
-                    context.pop()
+    def scaled(*args):
+        work, values, back = labelled(working, "working")(*args)
+        return work, values, labelled(back, "back")
 
-            monkeypatch.setattr(PolynomialRing, name, labelled)
+    monkeypatch.setattr(Domain, "_working", scaled)
 
-    def assert_flat(run, list_products):
-        ops.clear()
-        run()
-        assert ops["product", "_mul_lists"] == list_products
-        assert ops["sum", "_sub"] > 0
-        assert not [op for op in ops if op[0].startswith("Poly.")]
-        assert set(op for op in ops if op[0].startswith("Fraction.")) <= {("Fraction.__add__", "sum")}
+    def terms(*polys):
+        return sum(len(v) for f in polys for v in f.values)
 
     rng = random.Random(11)
     for d in (2, 3, 4):
-        p = rand_poly(rng, QQYZ, "x", 3 * d, monic=True)
-        assert_flat(lambda: decompose(p, d), d - 1)
-    assert_flat(lambda: variety_equations(10, 2), 1)
+        # ground values over 1 or d, which s = D*d^2 clears
+        def ground():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, d)))
+
+        values = [[Poly(QQ, "y", [ground(), ground()]) for _ in range(2)] for _ in range(3 * d)]
+        p = Poly(QQYZ, "x", [Poly(QQY, "z", cs) for cs in values] + [1])
+        assert all(type(c) is int for v in working(QQYZ, p.values, d, 3)[1] for c in v.values())
+        ops.clear()
+        calls.clear()
+        dec = decompose(p, d)
+        assert calls["_mul_lists"] == d - 1 and calls["_sub"] > 0
+        assert set(ops) == {("Fraction.__new__", ("back",))}
+        assert ops["Fraction.__new__", ("back",)] == terms(dec.h, dec.q, dec.r)
     ops.clear()
-    p * p
-    QQYZ._dot(p.values, p.values)
-    assert ops["product", "_mul_lists"] == 1 and ops["product", "_dot"] == 1
-    assert not [op for op in ops if op[1] == "product"]
+    calls.clear()
+    system = variety_equations(10, 2)
+    assert calls["_mul_lists"] == 1
+    # outside every wrapped call, Rationals() makes its 0 and 1
+    assert {op for op in ops if op[1]} == {("Fraction.__new__", ("back",))}
+    assert ops["Fraction.__new__", ("back",)] == sum(len(eq.value) for eq in system.equations)
+    ops.clear()
+    calls.clear()
+    square = p * p
+    dot = QQYZ._dot(p.values, p.values)
+    assert calls["_mul_lists"] == 1 and calls["_dot"] == 1
+    assert {op for op in ops if op[1]} == {("Fraction.__new__", ("product",))}
+    assert ops["Fraction.__new__", ("product",)] == terms(square) + len(dot)
 
 
 def test_tower_round_trips(monkeypatch):
