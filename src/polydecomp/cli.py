@@ -16,10 +16,11 @@ power whose degree in some variable, as written, would pass MAX_DEGREE,
 or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
 from its operands, is rejected before it is computed.  A first pass
 raises every other error before any arithmetic but the literals' values
-(_Parser), and keeps only the nonzero terms, so expanded input costs
-time linear in its length.  Text output re-parses to a
-structurally equal polynomial under this grammar.  ``variety --n`` is at
-most MAX_VARIETY_N: the generic polynomial has n indeterminates.
+(_Parser), and keeps only the nonzero terms; a whole term c/c*v^e is
+one token, so expanded input costs 3-7 us a term (README).  Text output
+re-parses to a structurally equal polynomial under this grammar.
+``variety --n`` is at most MAX_VARIETY_N: the generic polynomial has n
+indeterminates.
 
 Exit codes: 0 for success (for check: decomposable), 2 for a well-formed
 input that is not decomposable (check only), 1 for any error.  Errors
@@ -90,14 +91,27 @@ class UsageError(PolyDecompError):
 # matches no alternative, so findall skips it
 _RULES = {"number": "[0-9]+", "ident": VARIABLE_NAME.pattern, "op": "[-+*^()/]"}
 _TOKEN = re.compile("|".join(_RULES.values()) + r"|\S")
+# A whole term [c[/c]*]v[^e] as one token, its parts in groups 1-4, each a
+# whole token of _TOKEN, whose token is group 5 where no term matches.  It
+# is never the base of a '^', and its literal never follows a '^' or '/',
+# nor one space after them, where it could be an exponent or denominator.
+_TERM = re.compile(
+    r"(?:(?<![\^/])(?<![\^/]\s)([0-9]+)(?:/([0-9]+))?\*)?"
+    rf"({VARIABLE_NAME.pattern})(?:\^([0-9]+))?(?!\w|\s*\^)|({_TOKEN.pattern})"
+)
 # a token's kind by its first character, read off the rules (which are
-# ASCII; the first rule wins), an operator being its own kind
-_KINDS = {
+# ASCII; the first rule wins), an operator being its own kind; a term
+# token has no group 5 text
+_KINDS = {"": "term"} | {
     c: c if kind == "op" else kind
     for kind, rule in reversed(_RULES.items())
     for c in map(chr, range(128))
     if re.match(rule, c)
 }
+
+
+class _Replay(Exception):
+    """Pass 1 over term tokens cannot give what the plain tokens give (_Parser)."""
 
 
 def _norm_bits(terms: dict, field: Domain) -> int:
@@ -140,31 +154,44 @@ class _Parser:
     integer numerators (sparse.py).  Tokens are read by index, a list of
     kinds beside a list of texts, ending in an "end" token whose text is
     "end of input"; an error gives its token's character offset (``at``).
+
+    The tokens are first _TERM's, a whole term c/c*v^e being one leaf
+    (``leaf``).  Where that pass 1 raises, or meets a product that does
+    not fold and has such a factor, it runs again on the plain tokens
+    (_TOKEN), which raise the error as written; else both give one tree.
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
-        self.text, self.texts = text, _TOKEN.findall(text)
-        self.kinds = list(map(_KINDS.get, map(itemgetter(0), self.texts))) + ["end"]
+        self.text, self.field, self.one = text, field, field._one
+        self.constant = (0,) * len(levels)
+        self.places = {v: (self.constant[:i], self.constant[i + 1 :]) for i, v in enumerate(levels)}
+
+    def at(self, index: int) -> int:
+        """The character offset of token ``index``, found again: only errors need it."""
+        match = next(islice(self.token.finditer(self.text), index, None), None)
+        return match.start() if match else len(self.text)
+
+    def parse(self) -> dict:
+        try:
+            tree = self.tree(_TERM)
+        except (PolyDecompError, _Replay):
+            tree = None  # read again below, so that no error chains to this one
+        return self.evaluate(tree or self.tree(_TOKEN))
+
+    def tree(self, token: re.Pattern) -> tuple:
+        """Pass 1 on the tokens of ``token``."""
+        self.token, self.groups = token, token.findall(self.text)
+        self.texts = list(map(itemgetter(4), self.groups)) if token is _TERM else self.groups
+        self.kinds = list(map(_KINDS.get, map(itemgetter(slice(1)), self.texts))) + ["end"]
         if None in self.kinds:
             index = self.kinds.index(None)
             raise ParseError(f"unexpected character {self.texts[index]!r}", self.at(index))
         self.texts.append("end of input")
         self.index = self.depth = 0
-        self.field = field
-        self.one = field._one
-        self.units = {v: tuple(int(v == w) for w in levels) for v in levels}
-        self.constant = (0,) * len(levels)
-
-    def at(self, index: int) -> int:
-        """The character offset of token ``index``, found again: only errors need it."""
-        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
-        return match.start() if match else len(self.text)
-
-    def parse(self) -> dict:
         children = self.expr()
         if self.kinds[self.index] != "end":
             raise ParseError(f"unexpected {self.texts[self.index]!r}", self.at(self.index))
-        return self.evaluate(("+", (), children))
+        return "+", (), children
 
     def expect(self, kind: str) -> int:
         """The index of the next token, which must be of ``kind``."""
@@ -183,10 +210,15 @@ class _Parser:
 
     def expr(self) -> list:
         """The terms of a sum, each with its sign applied."""
-        children, negative = [], False
+        kinds, children, negative = self.kinds, [], False
         while True:
-            children.append(self.negate(self.term()) if negative else self.term())
-            op = self.kinds[self.index]
+            index = self.index
+            if kinds[index] == "term" and kinds[index + 1] != "*":  # the whole term
+                self.index += 1
+                children.append(self.leaf(index, "-" * negative))
+            else:
+                children.append(self.negate(self.term()) if negative else self.term())
+            op = kinds[self.index]
             if op != "+" and op != "-":
                 return children
             negative = op == "-"
@@ -194,12 +226,15 @@ class _Parser:
 
     def term(self) -> tuple:
         kinds, factors, stars = self.kinds, [], []
-        degrees, literal, foldable = self.constant, None, True  # literal: not a variable power
+        # literal: not a variable power; joined: a factor ends in a term token
+        degrees, literal, foldable, joined = self.constant, None, True, False
         while True:
-            variable = kinds[self.index] == "ident"
+            index = self.index
+            variable = kinds[index] == "ident" or kinds[index] == "term" and not self.groups[index][0]
             node = self.factor()
             if not variable:
                 foldable, literal = foldable and literal is None and len(node) == 2, node
+                joined = joined or kinds[self.index - 1] == "term"
             degrees = tuple(map(add, degrees, node[1]))
             if factors:
                 self.check_degree(degrees, stars[-1])
@@ -215,24 +250,16 @@ class _Parser:
         # bits, so every check of the product would be far below the bound.
         if foldable:
             return (literal[0] if literal else self.one), degrees
+        if joined:  # which _TOKEN reads as factors, checking the bound between them
+            raise _Replay
         return "*", degrees, factors, stars
 
     def factor(self) -> tuple:
-        # a variable power or an integer literal is read here, with no rule call
         kinds, index = self.kinds, self.index
-        kind = kinds[index]
-        variable = kind == "ident"
-        if variable:
-            text = self.texts[index]
-            if text not in self.units:
-                raise UnknownVariable(f"unknown variable {text!r}", self.at(index))
-            node = self.one, self.units[text]
+        if kinds[index] == "term":  # never the base of a '^'
             self.index += 1
-        elif kind == "number" and kinds[index + 1] != "/":
-            node = self.field._canonical(self.integer(index)), self.constant
-            self.index += 1
-        else:
-            node = self.atom()
+            return self.leaf(index)
+        node = self.atom()
         caret = self.index
         if kinds[caret] != "^":
             return node
@@ -242,7 +269,7 @@ class _Parser:
         if e > MAX_DEGREE:
             raise ParseError(f"exponent {e} is too large", self.at(index))
         degrees = tuple(e * a for a in node[1])
-        if variable:  # of degree e, within the bound
+        if kinds[caret - 1] == "ident":  # a variable power, of degree e, within the bound
             return self.one, degrees
         return "^", self.check_degree(degrees, caret), node, e, caret
 
@@ -250,8 +277,16 @@ class _Parser:
         index = self.index
         self.index += 1
         kind = self.kinds[index]
-        if kind == "number":  # a numerator, since factor reads integers
+        if kind == "ident":
+            text = self.texts[index]
+            if text not in self.places:
+                raise UnknownVariable(f"unknown variable {text!r}", self.at(index))
+            head, tail = self.places[text]
+            return self.one, head + (1,) + tail
+        if kind == "number":
             num = self.integer(index)
+            if self.kinds[self.index] != "/":
+                return self.field._canonical(num), self.constant
             self.index += 1
             den_index = self.expect("number")
             den = self.integer(den_index)
@@ -278,6 +313,20 @@ class _Parser:
             self.depth -= 1
             return node
         raise ParseError(f"unexpected {self.texts[index]!r}", self.at(index))
+
+    def leaf(self, index: int, sign: str = "") -> tuple:
+        """Term token ``index`` as a leaf, its literal read with ``sign``;
+        a part that factor or atom would reject raises _Replay."""
+        num, den, name, e, _ = self.groups[index]
+        try:
+            e, num = int(e or 1), int(sign + (num or "1"))
+            value = self.field._canonical(Fraction(num, int(den)) if den else num)
+        except (ValueError, ZeroDivisionError, NotInvertible):  # a long literal, a zero denominator
+            raise _Replay from None
+        if e > MAX_DEGREE or name not in self.places:
+            raise _Replay
+        head, tail = self.places[name]
+        return value, head + (e,) + tail
 
     def negate(self, node: tuple) -> tuple:
         if len(node) == 2:

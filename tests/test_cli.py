@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydecomp
 from polydecomp import cli
@@ -33,6 +35,7 @@ from polydecomp.errors import (
     ParseError,
     UnknownVariable,
 )
+from polydecomp.poly import unfold
 from support import poly_from_json, rand_poly
 
 QQ = Rationals()
@@ -128,6 +131,10 @@ def test_parse_error_positions():
         (" 1 / 0 ", ["x"], DivisionByZeroLiteral, 5),
         (" x + 1 $", ["x"], ParseError, 7),
         ("  x^ 3 + 1" + "1" * 5000, ["x"], ParseError, 9),
+        # term-shaped, as pinned below
+        (" 2 * w ^ 3", ["x"], UnknownVariable, 5),
+        ("3\t*x\t^ 10001", ["x"], ParseError, 7),
+        ("7 /\t0 *x^2", ["x"], DivisionByZeroLiteral, 4),
     ]
     for text, variables, error, position in spaced:
         with pytest.raises(ParseError) as info:
@@ -212,6 +219,30 @@ PINNED_ERROR_LINES = [
     # so the unexpected 'y' wins over the ConstantTooLarge of the power,
     # which the single-pass parser reported at position 8
     ("(2^1000)^10000y", "Q", "ParseError: unexpected 'y' (at position 14)"),
+    # term-shaped, as the parser printed them before a whole term c/c*v^e
+    # became one token
+    ("3*x^10001", "Q", "ParseError: exponent 10001 is too large (at position 4)"),
+    ("2*w^3", "Q", "UnknownVariable: unknown variable 'w' (at position 2)"),
+    ("7/0*x^2", "Q", "DivisionByZeroLiteral: denominator is zero (at position 2)"),
+    ("7/5*x^2", "gf:5", "DivisionByZeroLiteral: denominator 5 is zero in GF(5) (at position 2)"),
+    pytest.param(
+        "1" * 5000 + "*x", "Q", "ParseError: literal of 5000 digits is too long (at position 0)",
+        id="5000-digit-coefficient",
+    ),
+    pytest.param(
+        "2*x^" + "2" * 5000, "Q", "ParseError: literal of 5000 digits is too long (at position 4)",
+        id="5000-digit-exponent",
+    ),
+    ("x^2^3", "Q", "ParseError: unexpected '^' (at position 3)"),
+    # the bound is checked at each '*', so also at the one inside 3*x
+    (
+        "3*(2^10000)^100*(2^10000)^4*2^8570*3*x", "Q",
+        "ConstantTooLarge: coefficients could reach 1048577 bits, above the bound 1048576 (at position 36)",
+    ),
+    (
+        "3*(2^10000)^100*(2^10000)^4*2^8570*-3*x", "Q",
+        "ConstantTooLarge: coefficients could reach 1048577 bits, above the bound 1048576 (at position 37)",
+    ),
 ]
 
 
@@ -233,6 +264,61 @@ def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
     # the same power, well formed, does go through product
     parse_poly("(x+1)^3", PrimeField(1000003), ["x"])
     assert products
+
+
+# the fuzz alphabet with a tab and an unknown variable, and pieces at a
+# term token's edges: a literal after '^' or '/', a caret after a term,
+# a signed, a repeated and a rational term
+TERM_PIECES = ["3^2*x", "1 /2*x", "2*x ^3", "x^2^3", "-2*x^3", "2*x^3*3*y", "3/2*x^5"]
+TERM_PIECES += list("xyw2(+-*^/ )")
+ROUTE_TEXTS = st.one_of(
+    st.text("xyw0123456789+-*^()/ \t", max_size=12),
+    st.lists(st.sampled_from(TERM_PIECES), min_size=1, max_size=6).map("".join),
+)
+
+
+def _plain_parse(text, field, names):
+    """parse_poly with the plain token rules alone: no term token."""
+    main, others = names[0], names[1:]
+    parser = cli._Parser(text, field, [main, *reversed(others)])
+    return unfold(polynomial_tower(field, [*others, main]), parser.evaluate(parser.tree(cli._TOKEN)))
+
+
+def _outcome(read, *args):
+    """The value, or the error line's code and message with its offset."""
+    try:
+        return read(*args)
+    except PolyDecompError as error:
+        return error.code, str(error)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    ROUTE_TEXTS,
+    st.sampled_from([QQ, PrimeField(5), PrimeField(2)]),
+    st.sampled_from([["x"], ["x", "y"], ["y", "x"]]),
+)
+def test_term_tokens_read_as_the_plain_rules(text, field, names):
+    assert _outcome(parse_poly, text, field, names) == _outcome(_plain_parse, text, field, names)
+
+
+def test_expanded_text_is_read_in_one_pass():
+    """Printed polynomials and sums of c/c*v^e terms, spaced or not, need
+    no second pass 1 on the plain tokens."""
+    rng = random.Random(131)
+    tower = polynomial_tower(QQ, ["y"])
+    cases = [
+        ("-x^3+1/2*x-7", QQ, ["x"]),
+        ("-2*x^3 - 3/4 * x\t+ 5*x^0", PrimeField(7), ["x"]),
+        ("9*x^5*y+24*x^5*y^2-9*x^5-2*y*x^2+x*y+1", QQ, ["x", "y"]),
+    ]
+    for field in (QQ, PrimeField(5)):
+        cases += [(str(rand_poly(rng, field, "x", rng.randint(1, 8))), field, ["x"]) for _ in range(40)]
+    cases += [(str(rand_poly(rng, tower, "x", rng.randint(1, 5))), QQ, ["x", "y"]) for _ in range(40)]
+    for text, field, names in cases:
+        parser = cli._Parser(text, field, names)
+        parser.tree(cli._TERM)  # raises no _Replay
+        assert "term" in parser.kinds, text
 
 
 def test_parse_unknown_variable():

@@ -24,7 +24,7 @@ from polydecomp.cli import UsageError, main
 ALPHABET = "xy0123456789+-*^()/ "
 # sums of these terms parse far more often than random characters do
 TERMS = ["x", "x^2", "x^3", "x^4", "x^6", "y", "y^2", "y*x", "2*x", "1", "3", "1/2", "(x+1)^4",
-         "3*x^2", "-x*y", "1/2*y", "0*x"]
+         "3*x^2", "-x*y", "1/2*y", "0*x", "3/2*x^2", "2^3*x", "x^2^2", "1 /2*x"]
 SUMS = st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(TERMS)), min_size=1, max_size=2)
 TEXTS = st.one_of(
     st.text(ALPHABET, max_size=8),
