@@ -21,9 +21,10 @@ the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
 times its number of terms.
 The one division is by d (``_over``), which must be invertible; nothing
 else must be, so one recurrence serves Q, GF(p) with p <= m and towers.
-``root`` runs on ``_working`` values and returns Q's.  Over Q and towers
-over Q they are those of s^n * P(x/s), with integer ground terms, s =
-D*d^2 for D the lcm of the top m + 1 ground denominators: b_k's
+``root`` runs on ``_working`` values and returns Q's: over a tower maps
+keyed by packed monomials, and over Q and towers over Q the values of
+s^n * P(x/s), with integer ground terms, s = D*d^2 for D the lcm of
+the top m + 1 ground denominators: b_k's
 denominator divides D^k * d^(2k-1) (the binomial series behind Abhyankar
 and Moh's approximate roots), so b_k * s^k has integer ground terms.
 """

@@ -71,7 +71,7 @@ from .errors import (
     UnknownVariable,
 )
 from .poly import Poly, join_terms, unfold
-from .sparse import merge, negate, product
+from .sparse import merge, negate, tuple_product
 
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 2**20
@@ -320,7 +320,10 @@ class _Parser:
         num, den, name, e, _ = self.groups[index]
         try:
             e, num = int(e or 1), int(sign + (num or "1"))
-            value = self.field._canonical(Fraction(num, int(den)) if den else num)
+            if den or num != 1:
+                value = self.field._canonical(Fraction(num, int(den)) if den else num)
+            else:  # a bare variable power
+                value = self.one
         except (ValueError, ZeroDivisionError, NotInvertible):  # a long literal, a zero denominator
             raise _Replay from None
         if e > MAX_DEGREE or name not in self.places:
@@ -363,17 +366,17 @@ class _Parser:
         for factor, star in zip(factors[1:], stars):
             rhs = self.evaluate(factor)
             self.check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), star)
-            terms = product([(terms, rhs)], field)
+            terms = tuple_product([(terms, rhs)], field)
         return terms
 
     def power(self, a: dict, e: int) -> dict:
         result = {self.constant: self.one}
         while e:
             if e & 1:
-                result = product([(result, a)], self.field)
+                result = tuple_product([(result, a)], self.field)
             e >>= 1
             if e:
-                a = product([(a, a)], self.field)
+                a = tuple_product([(a, a)], self.field)
         return result
 
     def check_degree(self, degrees: tuple[int, ...], index: int) -> tuple[int, ...]:

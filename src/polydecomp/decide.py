@@ -12,7 +12,8 @@ half is what fails for inputs like x^2 + y.
 
 ``variety_equations(n, d)`` runs the same split on the generic monic
 polynomial whose coefficients are fresh indeterminates a1 .. an, on the
-integer values decompose takes (s = d^2), and keeps its remainder
+packed integer maps decompose takes (s = d^2, and the exponent of
+a_(n-l) in a field that holds n // (n - l)), and keeps its remainder
 coefficients: the polynomial conditions that cut out the
 d-decomposable locus.
 

@@ -14,12 +14,14 @@ h_j * (q^j)[i] over i/m < j < d - 1, every such h_j being found by
 then (h_(d-1) is 0 and h_d is in e).  A nonzero c goes to h as
 c*t^(i/m) when m divides i, since q^(i/m) is monic; otherwise it goes
 to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, each
-one big-int multiply (``domain._convolve``), and each coefficient one
-dot product over at most d - 2 terms, so the split is O(n*d) ring
+one big-int multiply (``domain._convolve``), or over a tower one
+``sparse.product`` on packed monomials, and each coefficient one dot
+product over at most d - 2 terms, so the split is O(n*d) ring
 operations for n = deg p besides the products.  ``split`` runs it on
-working values, with Q's from ``approot.root``: over Q and towers over
-Q, s^n * p(x/s) as there, and each ground term of h, q and r is divided
-by its power of s once, at the end.
+working values, with Q's from ``approot.root``: over a tower maps keyed
+by packed monomials, and over Q and towers over Q, s^n * p(x/s) as
+there; each ground term of h, q and r is unpacked and divided by its
+power of s once, at the end.
 """
 
 from __future__ import annotations

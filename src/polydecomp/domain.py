@@ -23,14 +23,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import index, mul
 from struct import pack, unpack
 from typing import Sequence
 
 from .errors import CoefficientTooLarge, DomainMismatch, NotInvertible
-from .sparse import Terms, merge, negate, product
+from .sparse import Terms, merge, negate, packing, product, tuple_product
 
 # the one rule for variable names, in the parser and in towers alike
 VARIABLE_NAME = re.compile("[A-Za-z][A-Za-z0-9]*")
@@ -123,17 +123,18 @@ class Domain:
     A Poly stores raw values and computes with these hooks and the list
     product _mul_lists, which multiplies int numerators over one common
     denominator as big ints (``_convolve``) and divides each output term
-    once (_ratio: a Fraction over Q, mod p over GF(p)).  approx_root,
-    decompose and variety_equations add _dot and ``_over(d)`` and run on
-    the values ``_working`` gives: over Q and towers over Q, those of
-    the same domain over ``_Integers`` (``_integers``).  ``_join`` maps a
-    list of values to one map of ground terms keyed by list index, then
-    exponents, and ``_split`` maps it back.  ``_names`` holds the
-    variables of a tower.  The kernels trust their values to be canonical.
+    once (_ratio: a Fraction over Q, mod p over GF(p)); ``_compose`` is
+    Horner's rule on the lists.  approx_root, decompose and
+    variety_equations add _dot and ``_over(d)`` and run on the values
+    ``_working`` gives: over Q those of s^n * p(x/s) over ``_Integers``,
+    and over a tower maps with each monomial packed into one int
+    (``_Packed``), scaled so over Q.  ``_join`` maps a list of values to
+    one map of ground terms keyed by list index, then exponents, and
+    ``_split`` maps it back.  ``_names`` holds the variables of a tower.
+    The kernels trust their values to be canonical.
     """
 
     is_field = False
-    _integers = None
     _names = frozenset()
 
     def __post_init__(self):
@@ -173,27 +174,19 @@ class Domain:
 
     def _working(self, values, d: int, m: int):
         """(domain, values, back) that root and split run on, for monic p with
-        Q of degree m; back(out, step) maps out's value i of weight step*(len-1-i).
-        With ``_integers``, the values of s^n * p(x/s) there, s = D*d^2 for D
-        the lcm of the ground denominators of the top m + 1 values: s clears
-        them and so Q's (approot), and back divides each ground term once."""
-        ints = self._integers
-        if ints is None:
-            return self, values, lambda out, step=1: out
-        s = lcm(*(c.denominator for c in self._join(values[-m - 1 :]).values())) * d * d
-        powers = [*accumulate(repeat(s, len(values) - 1), mul, initial=1)]
-        scaled = ints._each(
-            values,
-            powers[::-1],
-            lambda c, w: c * w if w % c.denominator else c.numerator * (w // c.denominator),
-        )
-        return ints, scaled, lambda out, step=1: self._each(out, powers[::step][len(out) - 1 :: -1], Fraction)
+        Q of degree m; back(out, step) maps out's value i of weight
+        step*(len-1-i) back to this domain."""
+        return self, values, lambda out, step=1: out
 
-    def _each(self, values, weights, f) -> list:
-        """This domain's values with f(c, w) for each ground term c of
-        values[i], w = weights[i], where the values are those of the same
-        tower over another ground."""
-        return list(map(f, values, weights))
+    def _compose(self, h, q) -> list:
+        """The values of h(q), by Horner on the lists."""
+        if not h or not q:
+            return list(h[:1])
+        out = [h[-1]]
+        for c in reversed(h[:-1]):
+            out = self._mul_lists(out, q)
+            out[0] = self._add(out[0], c)
+        return out
 
     def _add(self, a, b):
         return a + b
@@ -268,9 +261,9 @@ def _pack(values: list, width: int, half: int) -> int:
 
 @dataclass(unsafe_hash=True)
 class _Integers(Domain):
-    """Where root and split run over Q, and the ground of the tower they
+    """Where root and split run over Q, and the ground of the maps they
     run on over a tower over Q: plain operators on the values of
-    ``Domain._working``, ints but for low ones s does not clear."""
+    ``_working``, ints but for low ones s does not clear."""
 
     _canonical = index
 
@@ -288,15 +281,38 @@ class _Integers(Domain):
         return sum(map(mul, xs, ys))
 
 
+_INTEGERS = _Integers()
+
+
+def _powers(top, d: int, length: int) -> list:
+    """s^0 .. s^(length - 1) for s = D*d^2, D the lcm of the denominators
+    of the Fractions ``top``: s clears them and so Q's (approot)."""
+    s = lcm(*(c.denominator for c in top)) * d * d
+    return [*accumulate(repeat(s, length - 1), mul, initial=1)]
+
+
+def _numerators(values: list) -> tuple:
+    """(ints, den): den the lcm of the values' denominators, and the
+    values times den."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _scaled(c, w: int):
+    """c * w for a Fraction or int c, an int unless c's denominator does
+    not divide w."""
+    return c * w if w % c.denominator else c.numerator * (w // c.denominator)
+
+
 @dataclass(unsafe_hash=True)
 class Rationals(Domain):
     """The field of rational numbers."""
 
     is_field = True
-    _integers = _Integers()
 
     def _canonical(self, value):
-        return Fraction(value)
+        # a Fraction is immutable and always reduced: no copy
+        return value if type(value) is Fraction else Fraction(value)
 
     def _invert(self, a):
         if not a:
@@ -305,22 +321,36 @@ class Rationals(Domain):
 
     def _mul_lists(self, a, b):
         # each list over one common denominator, so only ints convolve
-        da = lcm(*(x.denominator for x in a))
-        db = lcm(*(y.denominator for y in b))
-        out = _convolve(
-            [x.numerator * (da // x.denominator) for x in a],
-            [y.numerator * (db // y.denominator) for y in b],
-        )
+        (a, da), (b, db) = _numerators(a), _numerators(b)
         den = da * db
-        return [Fraction(c, den) for c in out]
+        return [Fraction(c, den) for c in _convolve(a, b)]
+
+    def _compose(self, h, q):
+        # Horner on the numerators over h's and q's common denominators
+        # dh and dq: dh * dq^deg(h) * h(q) has int values
+        if not h or not q:
+            return list(h[:1])
+        (h, dh), (q, dq) = _numerators(h), _numerators(q)
+        out, w = h[-1:], 1
+        for c in reversed(h[:-1]):
+            w *= dq
+            out = _convolve(out, q)
+            out[0] += c * w
+        return [Fraction(c, dh * w) for c in out]
 
     def _ratio(self, num: int, den: int):
         return Fraction(num, den)
 
-    def _each(self, values, weights, f):
-        # a zero has no ground term, and Fraction(0, w) would cost a gcd
-        zero = self._zero
-        return [f(v, w) if v else zero for v, w in zip(values, weights)]
+    def _working(self, values, d: int, m: int):
+        # s^n * p(x/s): the x^i value times s^(n - i), s from the top m + 1
+        powers, zero = _powers(values[-m - 1 :], d, len(values)), self._zero
+
+        def back(out, step=1):
+            weights = powers[::step][len(out) - 1 :: -1]
+            # a zero keeps the shared zero: Fraction(0, w) would cost a gcd
+            return [Fraction(c, w) if c else zero for c, w in zip(out, weights)]
+
+        return _INTEGERS, list(map(_scaled, values, reversed(powers))), back
 
     def __str__(self):
         return "QQ"
@@ -400,15 +430,60 @@ class PrimeField(Domain):
         return f"GF({self.p})"
 
 
+class _Maps(Domain):
+    """Sums of maps {monomial: nonzero ground value}, each a ``_map``, on
+    the ground field's hooks; no hook changes its operands."""
+
+    _map = dict
+
+    def _add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return merge(self._map(a), b, self._ground)
+
+    def _sub(self, a, b):
+        return merge(self._map(a), negate(self._map(b), self._ground), self._ground)
+
+    def _neg(self, a):
+        return negate(self._map(a), self._ground)
+
+    def _over(self, m: int):
+        over = self._ground._over(m)
+        return lambda a: self._map({key: over(c) for key, c in a.items()})
+
+
+class _Packed(_Maps):
+    """Where root and split run over a tower: a value maps each monomial,
+    packed into one int of ``bits`` bits (``PolynomialRing._working``), to
+    a value of ``ground``, _INTEGERS over Q.  A list product keys its
+    terms by list index above those bits, so joining and splitting the
+    lists is a shift and a mask."""
+
+    def __init__(self, ground: Domain, bits: int):
+        self._ground, self.bits = ground, bits
+        self._zero, self._one = {}, {0: ground._one}
+
+    def _dot(self, xs, ys):
+        return product(list(zip(xs, ys)), self._ground)
+
+    def _mul_lists(self, a, b):
+        bits, out = self.bits, [{} for _ in range(len(a) + len(b) - 1)]
+        mask = (1 << bits) - 1
+        a, b = ({i << bits | key: c for i, v in enumerate(f) for key, c in v.items()} for f in (a, b))
+        for key, c in product([(a, b)], self._ground).items():
+            out[key >> bits][key & mask] = c
+        return out
+
+
 @dataclass(unsafe_hash=True)
-class PolynomialRing(Domain):
+class PolynomialRing(_Maps):
     """Polynomials in one variable over a base domain.
 
     A value is a ``sparse.Terms`` map {exponents: nonzero ground value}
     with one exponent per level from this ring inward, outermost first:
     in QQ[y][z], z*y^2 + 3 is {(1, 2): 1, (0, 0): 3}.  Sums merge maps
     with the ground field's hooks and products are one
-    ``sparse.product``; no hook changes its operands.  A Poly over
+    ``sparse.tuple_product``; no hook changes its operands.  A Poly over
     ``base`` in ``variable`` coerces to the map of its terms, a ``Terms``
     map of this ring's levels to itself with canonical values and no zero,
     and ``poly.unfold`` gives a value back as a Poly.  Nesting rings gives
@@ -418,6 +493,7 @@ class PolynomialRing(Domain):
 
     base: Domain
     variable: str
+    _map = Terms
 
     def __post_init__(self):
         if not isinstance(self.base, Domain):
@@ -425,8 +501,6 @@ class PolynomialRing(Domain):
         check_variable(self.base, self.variable)
         self._names = self.base._names | {self.variable}
         self._ground = ground_domain(self.base)
-        ints = self.base._integers
-        self._integers = None if ints is None else PolynomialRing(ints, self.variable)
         # from the base's values: canonicalizing 0 and 1 would descend the tower
         self._zero, self._one = Terms(), Terms(self.base._join((self.base._one,)))
 
@@ -453,10 +527,6 @@ class PolynomialRing(Domain):
     def _invert_integer(self, m: int):
         return Terms({key: self._ground._invert_integer(m) for key in self._one})
 
-    def _over(self, m: int):
-        over = self._ground._over(m)
-        return lambda a: Terms({key: over(c) for key, c in a.items()})
-
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""
         if name is None or name == self.variable:
@@ -471,29 +541,39 @@ class PolynomialRing(Domain):
             raise NotInvertible("only nonzero constants are invertible here")
         return Terms({key: self._ground._invert(c) for key, c in a.items()})
 
-    def _add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        return merge(Terms(a), b, self._ground)
-
-    def _sub(self, a, b):
-        return merge(Terms(a), negate(Terms(b), self._ground), self._ground)
-
-    def _neg(self, a):
-        return negate(Terms(a), self._ground)
-
     def _mul(self, a, b):
-        return product([(a, b)], self._ground)
+        return tuple_product([(a, b)], self._ground)
 
     def _dot(self, xs, ys):
-        return product(list(zip(xs, ys)), self._ground)
+        return tuple_product(list(zip(xs, ys)), self._ground)
 
     def _mul_lists(self, a, b):
-        terms = product([(self._join(a), self._join(b))], self._ground)
+        terms = tuple_product([(self._join(a), self._join(b))], self._ground)
         return self._split(terms, len(a) + len(b) - 1)
 
-    def _each(self, values, weights, f) -> list:
-        return [Terms({key: f(c, w) for key, c in v.items()}) for v, w in zip(values, weights)]
+    def _working(self, values, d: int, m: int):
+        # Each monomial packed into one int.  Weigh the value at x^i by
+        # n - i: the root's b_k and A[j][k], the x^i value of q^j, h_j and
+        # r_i have level-l degree at most E_l/n times their weight, E_l the
+        # largest deg_l(values[i]) * n // (n - i), and a product's pairs
+        # weigh at most n, so fields of E_l.bit_length() bits never carry.
+        n, zeros = len(values) - 1, [0] * len(next(iter(self._one)))
+        tops = zeros
+        for i, v in enumerate(values[:-1]):
+            if v:
+                tops = [max(t, e * n // (n - i)) for t, e in zip(tops, map(max, zeros, *v))]
+        pack, unpack, bits = packing(tops)
+        ground, ratio, powers = self._ground, self._ground._ratio, [1] * len(values)
+        if isinstance(ground, Rationals):  # scaled as Rationals._working scales, each ground term
+            ground, ratio = _INTEGERS, Fraction
+            powers = _powers(chain.from_iterable(v.values() for v in values[-m - 1 :]), d, len(values))
+        packed = [{pack(key): _scaled(c, w) for key, c in v.items()} for v, w in zip(values, reversed(powers))]
+
+        def back(values, step=1):
+            weights = powers[::step][len(values) - 1 :: -1]
+            return [Terms({unpack(key): ratio(c, w) for key, c in v.items()}) for v, w in zip(values, weights)]
+
+        return _Packed(ground, bits), packed, back
 
     def _join(self, values) -> dict:
         return {(i, *key): c for i, terms in enumerate(values) for key, c in terms.items()}

@@ -198,10 +198,7 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute ``inner`` for this polynomial's variable (Horner)."""
         same_domain(self.domain, inner.domain)
-        out = Poly.zero(self.domain, inner.variable)
-        for c in reversed(self.values):
-            out = out * inner + Poly._of(self.domain, inner.variable, (c,))
-        return out
+        return Poly._of(self.domain, inner.variable, self.domain._compose(self.values, inner.values))
 
     # ------------------------------------------------------------------
     # comparison and display

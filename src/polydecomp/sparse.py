@@ -1,18 +1,23 @@
-"""Sparse polynomials as maps {exponent tuple: raw ground value}.
+"""Sparse polynomials as maps {monomial: raw ground value}.
 
 A tower ring's raw value is a ``Terms`` map whose keys hold one
 exponent per level from that ring inward, outermost first.  The parser
 computes on maps whose keys lead with the main variable's exponent, and
 a tower's list product on maps whose keys lead with a list position.
-Sums combine values with the ground field's hooks; a product is one
-pass of int arithmetic on numerators, after SymPy's
-``PolyElement.__mul__``, with no Poly operation on any tower level.
+Where approx_root and decompose run, and inside every product, a
+monomial is one int instead: each level's exponent in a bit field of
+its own (``packing``), so that a key sum is one int add (Monagan and
+Pearce's packed exponent vectors).  Sums combine values with the
+ground field's hooks; a product is one pass of int arithmetic on
+numerators, after SymPy's ``PolyElement.__mul__``, with no Poly
+operation on any tower level.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
-from operator import add
+from operator import add, lshift
 
 
 class Terms(dict):
@@ -49,8 +54,9 @@ def merge(a: dict, b: dict, field) -> dict:
     return a
 
 
-def product(pairs: list, field) -> Terms:
-    """The sum of a * b over the (a, b) pairs of maps, with no zero value.
+def product(pairs: list, field) -> dict:
+    """The sum of a * b over the (a, b) pairs of maps keyed by packed
+    monomials, with no zero value; no key sum may carry out of a field.
 
     All the a maps go over one common denominator, the lcm of their
     values' denominators, and all the b maps over another; a residue
@@ -66,7 +72,35 @@ def product(pairs: list, field) -> Terms:
         for ka, va in a.items():
             va = va.numerator * (da // va.denominator)
             for kb, vb in b:
-                key = tuple(map(add, ka, kb))
+                key = ka + kb
                 out[key] = get(key, 0) + va * vb
     den, ratio = da * db, field._ratio
-    return Terms({key: value for key, num in out.items() if num and (value := ratio(num, den))})
+    return {key: value for key, num in out.items() if num and (value := ratio(num, den))}
+
+
+def packing(tops) -> tuple:
+    """(pack, unpack, bits) for exponent tuples whose entry l is at most
+    tops[l]: pack puts entry l in a field of tops[l].bit_length() bits,
+    the first entry lowest, and the fields take ``bits`` in all."""
+    widths = [top.bit_length() for top in tops]
+    shifts = [*accumulate(widths, initial=0)]
+    fields = [(shift, (1 << width) - 1) for shift, width in zip(shifts, widths)]
+
+    def pack(key: tuple) -> int:
+        return sum(map(lshift, key, shifts))
+
+    def unpack(key: int) -> tuple:
+        return tuple([key >> shift & mask for shift, mask in fields])
+
+    return pack, unpack, shifts[-1]
+
+
+def tuple_product(pairs: list, field) -> Terms:
+    """``product`` on maps keyed by exponent tuples: each level packed in
+    a field as wide as the sum of both sides' largest exponents there,
+    and each output key unpacked once."""
+    sides = [a for a, _ in pairs], [b for _, b in pairs]
+    tops = [list(map(max, zip(*[key for f in side for key in f]))) for side in sides]
+    pack, unpack, _ = packing(list(map(add, *tops)))
+    pairs = [({pack(k): c for k, c in a.items()}, {pack(k): c for k, c in b.items()}) for a, b in pairs]
+    return Terms({unpack(k): c for k, c in product(pairs, field).items()})

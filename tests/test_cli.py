@@ -255,8 +255,8 @@ def test_parse_error_lines_are_pinned(capsys, text, field, line):
 
 def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
     products = []
-    real = cli.product
-    monkeypatch.setattr(cli, "product", lambda *args: products.append(args) or real(*args))
+    real = cli.tuple_product
+    monkeypatch.setattr(cli, "tuple_product", lambda *args: products.append(args) or real(*args))
     with pytest.raises(ParseError) as info:
         parse_poly("(x+1)^3000y", PrimeField(1000003), ["x"])
     assert info.value.position == 10
@@ -343,6 +343,20 @@ def test_parse_rational_literals_reduce_in_prime_fields():
     assert parse_poly("1/3", f5, ["x"]) == Poly.constant(f5, "x", 2)  # 3*2 = 6 = 1
     assert parse_poly("7", f5, ["x"]) == Poly.constant(f5, "x", 2)
     assert parse_poly("-1", f5, ["x"]) == Poly.constant(f5, "x", 4)
+
+
+def test_parse_builds_one_fraction_per_literal(monkeypatch):
+    """Over QQ each literal, rational or integer, in a term token, as a
+    bare constant or inside parentheses, becomes one Fraction, and a
+    bare variable power none: the canonical form of a Fraction is that
+    Fraction, not a copy."""
+    made = []
+    original = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *args: made.append(args) or original(*args)))
+    text = "3/4*x^5 - 1/6*x^3 + 5/2*y*x + (7/9)*x^2 + 2/3 + 8*y + x^4"
+    p = parse_poly(text, QQ, ["x", "y"])
+    assert len(made) == 6
+    assert p == parse_poly("x^4 + 3/4*x^5 + 2/3 - 1/6*x^3 + 5/2*y*x + 8*y + 7/9*x^2", QQ, ["x", "y"])
 
 
 def test_parse_division_only_in_literals():

@@ -33,8 +33,9 @@ from polydecomp import (
 )
 from polydecomp import approot, decide, decomp
 from polydecomp.cli import parse_poly
-from polydecomp.domain import Domain, _Integers
+from polydecomp.domain import _Integers, _Packed
 from polydecomp.poly import unfold
+from polydecomp.sparse import Terms
 from support import (
     SympyTower,
     approx_root_by_powers,
@@ -243,6 +244,89 @@ def test_scaled_integer_path_equals_oracles(case):
     assert verify(p, fast).ok
 
 
+# 2^k - 1 and 2^k: a packed field of E.bit_length() bits is full at the
+# first and has one value to spare below the second
+FIELD_BOUNDARIES = (1, 2, 3, 4, 7, 8, 15, 16)
+
+
+def _field_tops(values: list) -> list:
+    """E_l = the largest deg_l(values[i]) * N // (N - i) over i < N, for
+    N = len(values) - 1, from the exponent tuples: what the packed
+    fields of approx_root (values the top m + 1) and decompose hold."""
+    n = len(values) - 1
+    levels = range(len(next(iter(values[-1]))))
+    return [max((max(key[l] for key in v) * n // (n - i) for i, v in enumerate(values[:-1]) if v), default=0) for l in levels]
+
+
+@st.composite
+def boundary_inputs(draw):
+    """(p, d, tops, root_tops): p monic over QQ[y], QQ[y][z] or GF(7)[y]
+    of degree n = d*m whose E_l is exactly tops[l] for decompose and
+    root_tops[l] for approx_root, each a 2^k - 1 or a 2^k.  p = h(q) + r
+    plus y^T at x^0 and y^T' at x^(n-m), T = tops, T' = root_tops: q's
+    x^i value has level-l degree at most T'_l * (m - i) / m, r's at x^i
+    (below x^(n-m)) at most T_l * (n - i) / n, and h is over the ground,
+    so that both monomials set their E_l and q^d reaches d*T'."""
+    domain = draw(st.sampled_from([QQY, QQYZ, GF7Y]))
+    levels = len(next(iter(domain._one)))
+    d, m = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 3))
+    n = d * m
+    root_tops = [draw(st.sampled_from([b for b in FIELD_BOUNDARIES if d * b <= 16])) for _ in range(levels)]
+    tops = [draw(st.sampled_from([b for b in FIELD_BOUNDARIES if b >= d * r])) for r in root_tops]
+    if domain == GF7Y:
+        ground = st.integers(1, 6)
+    else:
+        dens = st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 3), st.integers(0, 2))
+        ground = st.builds(Fraction, st.integers(-9, 9).filter(bool), dens)
+
+    def value(bounds, size=3):
+        keys = st.tuples(*(st.integers(0, b) for b in bounds))
+        return domain.element(Terms(draw(st.dictionaries(keys, ground, max_size=size))))
+
+    q = Poly(domain, "x", [value([t * (m - i) // m for t in root_tops]) for i in range(m)] + [1])
+    h = Poly(domain, "t", [value([0] * levels, 1) for _ in range(d)] + [1])
+    r = Poly(domain, "x", [value([t * (n - i) // n for t in tops]) for i in range(n - m)])
+    values, add = list((h.compose(q) + r).values), domain._ground._add
+    for i, key in ((0, tuple(tops)), (n - m, tuple(root_tops))):
+        old, c = values[i].get(key, domain._ground._zero), draw(ground)
+        if not add(old, c):  # c = -old, so 2c + old = -old is not zero
+            c = add(c, c)
+        values[i] = Terms({**values[i], key: add(old, c)})
+    return Poly(domain, "x", values), d, tops, root_tops
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(boundary_inputs())
+def test_packed_fields_at_their_boundaries(case):
+    """approx_root and decompose over a tower run on monomials packed
+    into one int, level l in a field of E_l.bit_length() bits; here some
+    E_l is 2^k - 1, which fills its field, and some 2^k, the least value
+    of its width, so a field one bit narrower garbles a term.  Each part
+    must equal the split on the tuple-keyed maps, and pass verify."""
+    p, d, tops, root_tops = case
+    m = p.degree // d
+    assert _field_tops(p.values) == tops and _field_tops(p.values[-m - 1 :]) == root_tops
+    h, q, r = map(_trimmed, decomp.split(p.domain, p.values, d))
+    assert approx_root(p, d).values == q
+    dec = decompose(p, d)
+    assert (dec.q.values, dec.h.values, dec.r.values) == (q, h, r)
+    assert verify(p, dec).ok
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (8, 4), (12, 3), (16, 4), (24, 6)])
+def test_variety_equations_at_field_boundaries(n, d):
+    """The generic polynomial's E_l is n // (n - l): 1, 2, 4 and 8 for
+    n = 8, 1, 2, 3, 4, 6 and 12 for n = 12, and so on, so fields both
+    full and at the least value of their width; its equations must be
+    the remainder of the split on the tuple-keyed maps."""
+    ring = polynomial_tower(QQ, [f"a{k}" for k in range(1, n + 1)])
+    generic = [Terms({tuple(int(j == i) for j in range(n)): QQ._one}) for i in range(n + 1)]
+    assert _field_tops(generic) == [n // (n - l) for l in range(n)]
+    m = n // d
+    r = decomp.split(ring, generic, d)[2]
+    assert [eq.value for eq in variety_equations(n, d).equations] == [r[i] for i in range(n - m - 1, 0, -1) if i % m]
+
+
 def test_scale_reads_only_the_top_denominators():
     """s comes from the top m + 1 coefficients, all that the root reads,
     so a huge denominator on a low coefficient, over QQ or times y over
@@ -264,9 +348,9 @@ def test_scale_reads_only_the_top_denominators():
 
 def test_verify_runs_no_root_or_split(monkeypatch):
     """verify recomposes h(q) + r with the domain's own products, so over
-    QQ and QQ[y] it shares neither the root nor the split nor the
-    integer working domain, or the tower over it, with decompose, and
-    stays an independent check."""
+    QQ and QQ[y] it shares neither the root nor the split nor a working
+    domain, the integers or the packed maps, with decompose, and stays
+    an independent check."""
     rng = random.Random(19)
     cases = [(rand_poly(rng, domain, "x", 2 * d, monic=True), d) for domain in (QQ, QQY) for d in (2, 3, 4)]
     decs = [decompose(p, d) for p, d in cases]
@@ -278,15 +362,8 @@ def test_verify_runs_no_root_or_split(monkeypatch):
         monkeypatch.setattr(owner, name, entered)
     for name in ("_add", "_sub", "_mul", "_neg", "_dot", "_mul_lists", "_over", "_ratio"):
         monkeypatch.setattr(_Integers, name, entered)
-    for name in ("_add", "_sub", "_mul", "_neg", "_dot", "_mul_lists", "_over"):
-        original = getattr(PolynomialRing, name)
-
-        def on_rationals(self, *args, _original=original):
-            if isinstance(self._ground, _Integers):
-                entered()
-            return _original(self, *args)
-
-        monkeypatch.setattr(PolynomialRing, name, on_rationals)
+    for name in ("__init__", "_add", "_sub", "_mul", "_neg", "_dot", "_mul_lists", "_over"):
+        monkeypatch.setattr(_Packed, name, entered)
     for (p, d), dec in zip(cases, decs):
         assert verify(p, dec).ok
 
@@ -607,10 +684,11 @@ def test_tower_operation_counts(monkeypatch):
     clears, there is no Poly sum, difference, negation or product on any
     level, and no Fraction operation at all but one Fraction made per
     output term, where back divides it by its power of s: root and split
-    run on the ints of the integer tower, and the scaling makes none.
-    decompose makes exactly the d - 1 list products of q^2 .. q^d, and
-    variety_equations(10, 2) one, with the same Fraction rule inside
-    every wrapped call.  Over QQ the ring's products, the kernel behind
+    run on the ints of the packed maps (``_Packed``), and the scaling
+    makes none.  decompose makes exactly the d - 1 list products of
+    q^2 .. q^d there, and variety_equations(10, 2) one, with the same
+    Fraction rule inside every wrapped call, and neither calls a hook of
+    the tuple-keyed ring.  Over QQ the ring's products, the kernel behind
     Poly.__mul__ included, do no Fraction arithmetic either: they
     multiply integer numerators and make one Fraction per output term."""
     stack = []  # the labels of the wrapped calls now running
@@ -641,7 +719,7 @@ def test_tower_operation_counts(monkeypatch):
 
             monkeypatch.setattr(owner, name, counted)
 
-    def labelled(original, label, name=None):
+    def labelled(original, label, name):
         def call(*args):
             calls[name] += 1
             stack.append(label)
@@ -652,18 +730,22 @@ def test_tower_operation_counts(monkeypatch):
 
         return call
 
-    for names, label in ((("_add", "_sub"), "sum"), (("_mul", "_dot", "_mul_lists"), "product")):
-        for name in names:
-            monkeypatch.setattr(PolynomialRing, name, labelled(getattr(PolynomialRing, name), label, name))
+    # the hooks of the packed maps that root and split run on, and the
+    # ring's own; each counted under its name
+    for owner in (_Packed, PolynomialRing):
+        for names, label in ((("_add", "_sub"), "sum"), (("_mul", "_dot", "_mul_lists"), "product")):
+            for name in names:
+                key = name if owner is _Packed else f"ring{name}"
+                monkeypatch.setattr(owner, name, labelled(getattr(owner, name), label, key))
     for owner, name in ((decomp, "root"), (decomp, "split"), (decide, "split")):
-        monkeypatch.setattr(owner, name, labelled(getattr(owner, name), name))
-    working = Domain._working
+        monkeypatch.setattr(owner, name, labelled(getattr(owner, name), name, name))
+    working = PolynomialRing._working
 
     def scaled(*args):
-        work, values, back = labelled(working, "working")(*args)
-        return work, values, labelled(back, "back")
+        work, values, back = labelled(working, "working", "working")(*args)
+        return work, values, labelled(back, "back", "back")
 
-    monkeypatch.setattr(Domain, "_working", scaled)
+    monkeypatch.setattr(PolynomialRing, "_working", scaled)
 
     def terms(*polys):
         return sum(len(v) for f in polys for v in f.values)
@@ -681,12 +763,14 @@ def test_tower_operation_counts(monkeypatch):
         calls.clear()
         dec = decompose(p, d)
         assert calls["_mul_lists"] == d - 1 and calls["_sub"] > 0
+        assert not any(name.startswith("ring") for name in calls)
         assert set(ops) == {("Fraction.__new__", ("back",))}
         assert ops["Fraction.__new__", ("back",)] == terms(dec.h, dec.q, dec.r)
     ops.clear()
     calls.clear()
     system = variety_equations(10, 2)
     assert calls["_mul_lists"] == 1
+    assert not any(name.startswith("ring") for name in calls)
     # outside every wrapped call, Rationals() makes its 0 and 1
     assert {op for op in ops if op[1]} == {("Fraction.__new__", ("back",))}
     assert ops["Fraction.__new__", ("back",)] == sum(len(eq.value) for eq in system.equations)
@@ -694,7 +778,7 @@ def test_tower_operation_counts(monkeypatch):
     calls.clear()
     square = p * p
     dot = QQYZ._dot(p.values, p.values)
-    assert calls["_mul_lists"] == 1 and calls["_dot"] == 1
+    assert calls == {"ring_mul_lists": 1, "ring_dot": 1}
     assert {op for op in ops if op[1]} == {("Fraction.__new__", ("product",))}
     assert ops["Fraction.__new__", ("product",)] == terms(square) + len(dot)
 
