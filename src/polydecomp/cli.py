@@ -70,7 +70,7 @@ from .errors import (
     PolyDecompError,
     UnknownVariable,
 )
-from .poly import Poly, join_terms, unfold
+from .poly import Poly, join_terms, power, unfold
 from .sparse import merge, negate, tuple_product
 
 MAX_DEGREE = 10_000
@@ -150,10 +150,11 @@ class _Parser:
     variable power, is one leaf.  Pass 2, ``evaluate``, raises only
     ConstantTooLarge: it computes maps {key: raw ground value} without
     zero values, sums and negations with the field's hooks, in place,
-    since a map belongs to the node that returned it, and products on
-    integer numerators (sparse.py).  Tokens are read by index, a list of
-    kinds beside a list of texts, ending in an "end" token whose text is
-    "end of input"; an error gives its token's character offset (``at``).
+    since a map belongs to the node that returned it, products on
+    integer numerators (sparse.py) and powers by the shared squaring
+    ``poly.power``.  Tokens are read by index, a list of kinds beside a
+    list of texts, ending in an "end" token whose text is "end of
+    input"; an error gives its token's character offset (``at``).
 
     The tokens are first _TERM's, a whole term c/c*v^e being one leaf
     (``leaf``).  Where that pass 1 raises, or meets a product that does
@@ -360,7 +361,8 @@ class _Parser:
             _, _, base, e, caret = node
             terms = self.evaluate(base)
             self.check_bits(e * _norm_bits(terms, field), caret)
-            return self.power(terms, e)
+            one = {self.constant: self.one}
+            return power(terms, e, lambda a, b: tuple_product([(a, b)], field), one)
         _, _, factors, stars = node
         terms = self.evaluate(factors[0])
         for factor, star in zip(factors[1:], stars):
@@ -368,16 +370,6 @@ class _Parser:
             self.check_bits(_norm_bits(terms, field) + _norm_bits(rhs, field), star)
             terms = tuple_product([(terms, rhs)], field)
         return terms
-
-    def power(self, a: dict, e: int) -> dict:
-        result = {self.constant: self.one}
-        while e:
-            if e & 1:
-                result = tuple_product([(result, a)], self.field)
-            e >>= 1
-            if e:
-                a = tuple_product([(a, a)], self.field)
-        return result
 
     def check_degree(self, degrees: tuple[int, ...], index: int) -> tuple[int, ...]:
         if max(degrees) > MAX_DEGREE:

@@ -57,8 +57,8 @@ class Element:
     of a coefficient, which a Poly stores as the bare value.
 
     Only public names build one: ``Poly.coeffs``, ``coeff`` and
-    ``leading_coefficient``, a domain's ``element``, ``zero``, ``one``,
-    ``generator`` and ``invert_integer``, and Element arithmetic.
+    ``leading_coefficient``, a domain's ``element``, ``zero``, ``one``
+    and ``generator``, and Element arithmetic.
 
     Arithmetic is defined between elements of equal domains only; mixing
     domains raises DomainMismatch.  Equality and hashing are those of
@@ -160,16 +160,9 @@ class Domain:
     def _lift(self, value: Element):
         raise DomainMismatch(f"{value.domain} is not {self}")
 
-    def invert_integer(self, m: int) -> Element:
-        """The inverse of the integer m in this domain, if it has one."""
-        return Element(self, self._invert_integer(m))
-
-    def _invert_integer(self, m: int):
-        return self._invert(self._canonical(m))
-
     def _over(self, m: int):
         """a -> a / m, for an integer m invertible here."""
-        inv = self._invert_integer(m)
+        inv = self._invert(self._canonical(m))
         return lambda a: self._mul(a, inv)
 
     def _working(self, values, d: int, m: int):
@@ -393,8 +386,10 @@ class PrimeField(Domain):
             value = Fraction(value)
         return value.numerator * self._invert(value.denominator) % self.p
 
-    def _invert_integer(self, m: int):
-        return self._invert(m)
+    def _over(self, m: int):
+        # the raw m, so that NotInvertible names m and not m mod p
+        inv = self._invert(m)
+        return lambda a: self._mul(a, inv)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -523,9 +518,6 @@ class PolynomialRing(_Maps):
 
     # an element of a deeper level becomes a constant
     _lift = _canonical
-
-    def _invert_integer(self, m: int):
-        return Terms({key: self._ground._invert_integer(m) for key in self._one})
 
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""

@@ -155,10 +155,7 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check(other)
-        domain, a, b = self.domain, self.values, other.values
-        tail = a[len(b) :] if len(a) >= len(b) else map(domain._neg, b[len(a) :])
-        return Poly._of(domain, self.variable, [*map(domain._sub, a, b), *tail])
+        return self + -other
 
     def __neg__(self):
         return Poly._of(self.domain, self.variable, list(map(self.domain._neg, self.values)))
@@ -185,15 +182,7 @@ class Poly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.constant(self.domain, self.variable, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, Poly.__mul__, Poly.constant(self.domain, self.variable, 1))
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute ``inner`` for this polynomial's variable (Horner)."""
@@ -222,6 +211,18 @@ class Poly:
 
     def __repr__(self):
         return f"<Poly {self} over {self.domain}>"
+
+
+def power(base, e: int, times, one):
+    """base**e for an int e >= 0 by repeated squaring with ``times``, from ``one``."""
+    result = one
+    while e:
+        if e & 1:
+            result = times(result, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    return result
 
 
 def descend(domain: Domain, value) -> tuple[Domain, object]:

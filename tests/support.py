@@ -230,7 +230,7 @@ def approx_root_by_powers(p: Poly, d: int) -> Poly:
         raise NotMonic("approximate roots are defined for monic polynomials")
     n = p.degree
     check_outer_degree(n, d, "deg(p)")
-    inv_d = p.domain.invert_integer(d)
+    inv_d = p.domain.element(d).inverse()
     m = n // d
     q = monomial(p.domain, p.variable, 1, m)
     for k in range(1, m + 1):

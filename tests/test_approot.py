@@ -94,7 +94,7 @@ def test_quadratic_root_formulas_over_generic_coefficients():
     a = {i: tower.generator(f"a{i}") for i in range(1, 7)}
     p = Poly(tower, "x", [a[6], a[5], a[4], a[3], a[2], a[1], tower.one])
     q = approx_root(p, 2)
-    half = tower.invert_integer(2)
+    half = tower.element(2).inverse()
     b1 = a[1] * half
     b2 = (a[2] - b1 * b1) * half
     b3 = (a[3] - (b1 * b2 + b1 * b2)) * half

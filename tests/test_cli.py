@@ -506,6 +506,12 @@ def test_cli_root_json(capsys):
     assert json.loads(out) == {"var": "x", "coeffs": ["-4", "2", "1"]}
 
 
+def test_cli_not_invertible_names_d_as_given(capsys):
+    # d = 4 is 0 mod 2, so a message from d mod p would read "0"
+    code, out, err = run_cli(capsys, "root", "x^4+x", "--d", "4", "--field", "gf:2")
+    assert (code, out, err) == (1, "", "error: NotInvertible: 4 is not invertible modulo 2\n")
+
+
 def test_cli_decompose_text(capsys):
     code, out, _ = run_cli(capsys, "decompose", "x^6+6*x^5+6*x+1", "--d", "3")
     assert code == 0

@@ -674,8 +674,6 @@ def test_flat_hooks_equal_nested_arithmetic(domain, data):
         dot = dot + nested(x) * nested(y)
     assert nested(domain._dot(a[:n], b[:n])) == dot
     assert [dict(v) for v in a + b] == operands
-    d = data.draw(st.sampled_from([2, 3, 5]))
-    assert nested(domain._invert_integer(d)) == constant(domain.base.invert_integer(d))
 
 
 def test_tower_operation_counts(monkeypatch):

@@ -17,6 +17,7 @@ from polydecomp import (
     VariableMismatch,
     polynomial_tower,
 )
+from polydecomp.cli import parse_poly
 from polydecomp.poly import descend
 from support import assert_canonical_poly, evaluate, lift, power_by_repeated_mul, rand_poly
 
@@ -123,12 +124,19 @@ def test_gf_arithmetic_matches_rational_reduction(xs, ys):
 
 
 def test_power_matches_repeated_multiplication():
+    # Poly.__pow__ and the parser's '^' run the one repeated squaring
     rng = random.Random(23)
-    for domain in (QQ, PrimeField(7), polynomial_tower(QQ, ["y"])):
-        for _ in range(25):
-            f = rand_poly(rng, domain, "x", rng.randint(0, 3))
-            e = rng.randint(0, 6)
+    for domain, field, names in (
+        (QQ, QQ, ["x"]),
+        (PrimeField(7), PrimeField(7), ["x"]),
+        (polynomial_tower(QQ, ["y"]), QQ, ["x", "y"]),
+    ):
+        cases = [(rand_poly(rng, domain, "x", rng.randint(0, 3)), rng.randint(0, 6)) for _ in range(25)]
+        zero, constant = Poly.zero(domain, "x"), rand_poly(rng, domain, "x", 0)
+        cases += [(f, e) for f in (zero, constant) for e in (0, 1, 5)]
+        for f, e in cases:
             assert f**e == power_by_repeated_mul(f, e)
+            assert parse_poly(f"({f})^{e}", field, names) == f**e
     with pytest.raises(ValueError):
         P6**-1
 
