@@ -16,8 +16,9 @@ power whose degree in some variable, as written, would pass MAX_DEGREE,
 or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
 from its operands, is rejected before it is computed.  A first pass
 raises every other error before any arithmetic but the literals' values
-(_Parser), and keeps only the nonzero terms; a whole term c/c*v^e is
-one token, so expanded input costs 3-7 us a term (README).  Text output
+(_Parser), and keeps only the nonzero terms; a whole term of a sum with
+the sign before it is one token, so expanded input costs 1.4-2.5 us a
+term (README).  Text output
 re-parses to a structurally equal polynomial under this grammar.
 ``variety --n`` is at most MAX_VARIETY_N: the generic polynomial has n
 indeterminates.
@@ -91,17 +92,21 @@ class UsageError(PolyDecompError):
 # matches no alternative, so findall skips it
 _RULES = {"number": "[0-9]+", "ident": VARIABLE_NAME.pattern, "op": "[-+*^()/]"}
 _TOKEN = re.compile("|".join(_RULES.values()) + r"|\S")
-# A whole term [c[/c]*]v[^e] as one token, its parts in groups 1-4, each a
-# whole token of _TOKEN, whose token is group 5 where no term matches.  It
-# is never the base of a '^', and its literal never follows a '^' or '/',
-# nor one space after them, where it could be an exponent or denominator.
+# A whole term of a sum as one token, with the sign before it if any: a
+# variable power v^e after its literal c/c and '*', if any, or a literal
+# alone that a sign, ')' or the end follows.  Its parts are groups 1-5,
+# each a whole token of _TOKEN, whose token is group 6 where no term
+# matches.  A term token never starts right after an operator (nor one
+# space after one) or, unsigned, right after a digit, and is never the
+# base of a '^'.
 _TERM = re.compile(
-    r"(?:(?<![\^/])(?<![\^/]\s)([0-9]+)(?:/([0-9]+))?\*)?"
-    rf"({VARIABLE_NAME.pattern})(?:\^([0-9]+))?(?!\w|\s*\^)|({_TOKEN.pattern})"
+    r"(?<![-+*^/])(?<![-+*^/]\s)(?:([-+])\s*|(?<![0-9]))(?:([0-9]+)(?:/([0-9]+))?\*?)?"
+    rf"(?:(?<![0-9])({VARIABLE_NAME.pattern})(?:\^([0-9]+))?|(?<=[0-9])(?=\s*(?:[-+)]|\Z)))"
+    rf"(?![A-Za-z0-9]|\s*\^)|({_TOKEN.pattern})"
 )
 # a token's kind by its first character, read off the rules (which are
 # ASCII; the first rule wins), an operator being its own kind; a term
-# token has no group 5 text
+# token has no group 6 text
 _KINDS = {"": "term"} | {
     c: c if kind == "op" else kind
     for kind, rule in reversed(_RULES.items())
@@ -139,15 +144,15 @@ class _Parser:
     arithmetic is each literal's ground value and a leaf's negation:
 
         leaf      (value, key)              value * the monomial key
-        sum       ("+", degrees, children)
+        sum       ("+", degrees, {key: value} of leaves, other terms)
         product   ("*", degrees, factors, token indices of the '*'s)
         power     ("^", degrees, base, e, token index of the '^')
         negation  ("-", degrees, node)
 
     Keys and degrees list the main variable, then the tower levels from
     the outermost in.  Degrees are as written (a sum takes the larger;
-    a leaf's are its key).  A term of leaves, at most one of them not a
-    variable power, is one leaf.  Pass 2, ``evaluate``, raises only
+    a leaf's are its key).  A term of leaves, all of value one but at
+    most one, is one leaf.  Pass 2, ``evaluate``, raises only
     ConstantTooLarge: it computes maps {key: raw ground value} without
     zero values, sums and negations with the field's hooks, in place,
     since a map belongs to the node that returned it, products on
@@ -156,10 +161,10 @@ class _Parser:
     list of texts, ending in an "end" token whose text is "end of
     input"; an error gives its token's character offset (``at``).
 
-    The tokens are first _TERM's, a whole term c/c*v^e being one leaf
-    (``leaf``).  Where that pass 1 raises, or meets a product that does
-    not fold and has such a factor, it runs again on the plain tokens
-    (_TOKEN), which raise the error as written; else both give one tree.
+    The tokens are first _TERM's, a whole term of a sum with the sign
+    before it being one leaf (``expr``).  Where that pass 1 raises, it
+    runs again on the plain tokens (_TOKEN), which raise the error as
+    written; else both trees have one value.
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
@@ -182,17 +187,17 @@ class _Parser:
     def tree(self, token: re.Pattern) -> tuple:
         """Pass 1 on the tokens of ``token``."""
         self.token, self.groups = token, token.findall(self.text)
-        self.texts = list(map(itemgetter(4), self.groups)) if token is _TERM else self.groups
+        self.texts = list(map(itemgetter(5), self.groups)) if token is _TERM else self.groups
         self.kinds = list(map(_KINDS.get, map(itemgetter(slice(1)), self.texts))) + ["end"]
         if None in self.kinds:
             index = self.kinds.index(None)
             raise ParseError(f"unexpected character {self.texts[index]!r}", self.at(index))
         self.texts.append("end of input")
         self.index = self.depth = 0
-        children = self.expr()
+        leaves, children = self.expr()
         if self.kinds[self.index] != "end":
             raise ParseError(f"unexpected {self.texts[self.index]!r}", self.at(self.index))
-        return "+", (), children
+        return "+", (), leaves, children
 
     def expect(self, kind: str) -> int:
         """The index of the next token, which must be of ``kind``."""
@@ -209,57 +214,86 @@ class _Parser:
             message = f"literal of {len(self.texts[index])} digits is too long"
             raise ParseError(message, self.at(index)) from None
 
-    def expr(self) -> list:
-        """The terms of a sum, each with its sign applied."""
-        kinds, children, negative = self.kinds, [], False
-        while True:
-            index = self.index
-            if kinds[index] == "term" and kinds[index + 1] != "*":  # the whole term
-                self.index += 1
-                children.append(self.leaf(index, "-" * negative))
-            else:
-                children.append(self.negate(self.term()) if negative else self.term())
-            op = kinds[self.index]
-            if op != "+" and op != "-":
-                return children
-            negative = op == "-"
-            self.index += 1
-
-    def term(self) -> tuple:
-        kinds, factors, stars = self.kinds, [], []
-        # literal: not a variable power; joined: a factor ends in a term token
-        degrees, literal, foldable, joined = self.constant, None, True, False
-        while True:
-            index = self.index
-            variable = kinds[index] == "ident" or kinds[index] == "term" and not self.groups[index][0]
-            node = self.factor()
-            if not variable:
-                foldable, literal = foldable and literal is None and len(node) == 2, node
-                joined = joined or kinds[self.index - 1] == "term"
-            degrees = tuple(map(add, degrees, node[1]))
-            if factors:
-                self.check_degree(degrees, stars[-1])
-            factors.append(node)
-            if kinds[self.index] != "*":
-                break
-            stars.append(self.index)
-            self.index += 1
-        if len(factors) == 1:
-            return node
-        # No bits check: `integer` caps a literal at the interpreter's int/str
-        # digit limit, about 14k bits, and a variable power adds 2 norm
-        # bits, so every check of the product would be far below the bound.
-        if foldable:
-            return (literal[0] if literal else self.one), degrees
-        if joined:  # which _TOKEN reads as factors, checking the bound between them
+    def expr(self) -> tuple[dict, list]:
+        """The terms of a sum, each with its sign applied: the leaves of term
+        tokens in one map while their keys differ, and a list of the rest.
+        A term token's sign is the operator before it, or the sum's unary
+        '-'.  Where the grammar reads it otherwise (a '+', or a '-' nested
+        too deep, that opens the sum; a term token after an operator and
+        two spaces), or would reject a part, _Replay.  A term token is only
+        a product's first factor: the bound at its '*' holds at those after."""
+        kinds, groups, leaves, children = self.kinds, self.groups, {}, []
+        index, negative = self.index, False
+        sign = kinds[index] == "term" and groups[index][0]
+        if sign == "+" or sign and self.depth == MAX_DEPTH:
             raise _Replay
+        canonical, places, one = self.field._canonical, self.places, self.one
+        while True:
+            if kinds[index] == "term":  # a whole term, or a product's first factor
+                sign, num, den, name, e, _ = groups[index]
+                try:
+                    e, num = int(e or 1), -int(num or 1) if sign == "-" else int(num or 1)
+                    if den or num != 1:
+                        value = canonical(Fraction(num, int(den)) if den else num)
+                    else:  # a bare variable power
+                        value = one
+                    if name:
+                        head, tail = places[name]
+                        key = head + (e,) + tail
+                    else:  # a constant
+                        key = self.constant
+                except (ValueError, ZeroDivisionError, NotInvertible, KeyError):
+                    raise _Replay from None  # a long literal, a zero denominator, an unknown name
+                if e > MAX_DEGREE:
+                    raise _Replay
+                index += 1
+                if kinds[index] == "*":
+                    self.index = index
+                    children.append(self.term((value, key)))
+                    index = self.index
+                elif key in leaves:
+                    children.append((value, key))
+                else:
+                    leaves[key] = value
+            else:
+                self.index = index
+                node = self.term(self.factor())
+                children.append(self.negate(node) if negative else node)
+                index = self.index
+            op = kinds[index]
+            if op == "term" and groups[index][0]:
+                continue
+            self.index = index
+            if op != "+" and op != "-":
+                return leaves, children
+            negative, index = op == "-", index + 1
+            if kinds[index] == "term":  # after the operator and two spaces
+                raise _Replay
+
+    def term(self, node: tuple) -> tuple:
+        """The product of the factor ``node``, just read, and those after it."""
+        kinds, index = self.kinds, self.index
+        if kinds[index] != "*":
+            return node
+        factors, stars, degrees = [node], [], node[1]
+        while kinds[index] == "*":
+            stars.append(index)
+            self.index = index + 1
+            node = self.factor()
+            degrees = self.check_degree(tuple(map(add, degrees, node[1])), index)
+            factors.append(node)
+            index = self.index
+        # A variable power's value is the field's one itself.  No bits check:
+        # `integer` caps a literal at the interpreter's int/str digit limit,
+        # about 14k bits, and a variable power adds 2 norm bits, so every
+        # check of the product would be far below the bound.
+        rest = [node for node in factors if len(node) != 2 or node[0] is not self.one]
+        if not rest or len(rest) == 1 and len(rest[0]) == 2:
+            return (rest[0][0] if rest else self.one), degrees
         return "*", degrees, factors, stars
 
     def factor(self) -> tuple:
-        kinds, index = self.kinds, self.index
-        if kinds[index] == "term":  # never the base of a '^'
-            self.index += 1
-            return self.leaf(index)
+        kinds = self.kinds
         node = self.atom()
         caret = self.index
         if kinds[caret] != "^":
@@ -306,31 +340,15 @@ class _Parser:
             if kind == "-":
                 node = self.negate(self.factor())
             else:
-                children = self.expr()
+                leaves, children = self.expr()
                 self.expect(")")
-                node = children[0]
-                if len(children) > 1:
-                    node = "+", tuple(map(max, *(n[1] for n in children))), children
+                if len(leaves) + len(children) > 1:
+                    node = "+", tuple(map(max, *leaves, *(n[1] for n in children))), leaves, children
+                else:  # one term
+                    node = children[0] if children else next(iter(leaves.items()))[::-1]
             self.depth -= 1
             return node
         raise ParseError(f"unexpected {self.texts[index]!r}", self.at(index))
-
-    def leaf(self, index: int, sign: str = "") -> tuple:
-        """Term token ``index`` as a leaf, its literal read with ``sign``;
-        a part that factor or atom would reject raises _Replay."""
-        num, den, name, e, _ = self.groups[index]
-        try:
-            e, num = int(e or 1), int(sign + (num or "1"))
-            if den or num != 1:
-                value = self.field._canonical(Fraction(num, int(den)) if den else num)
-            else:  # a bare variable power
-                value = self.one
-        except (ValueError, ZeroDivisionError, NotInvertible):  # a long literal, a zero denominator
-            raise _Replay from None
-        if e > MAX_DEGREE or name not in self.places:
-            raise _Replay
-        head, tail = self.places[name]
-        return value, head + (e,) + tail
 
     def negate(self, node: tuple) -> tuple:
         if len(node) == 2:
@@ -341,9 +359,11 @@ class _Parser:
         if len(node) == 2:
             return {node[1]: node[0]} if node[0] else {}
         field, op = self.field, node[0]
-        if op == "+":  # a leaf goes straight into the map
-            terms, plus = {}, field._add
-            for child in node[2]:
+        if op == "+":  # its leaves' map, then each other leaf straight into it
+            terms, plus = node[2], field._add
+            if not all(terms.values()):  # a zero literal
+                terms = {key: value for key, value in terms.items() if value}
+            for child in node[3]:
                 if len(child) != 2:
                     terms = merge(terms, self.evaluate(child), field)
                     continue
@@ -406,9 +426,10 @@ def parse_poly(
         if not VARIABLE_NAME.fullmatch(name):
             raise ValueError(f"bad variable name {name!r}")
     others = [v for v in names if v != main]
-    # the parsed terms are a value of field[others][main]
-    ring = polynomial_tower(field, [*others, main])
-    return unfold(ring, _Parser(text, field, [main, *reversed(others)]).parse())
+    base = polynomial_tower(field, others)
+    terms = _Parser(text, field, [main, *reversed(others)]).parse()
+    # a value of base[main], unfolded without building that ring
+    return Poly._of(base, main, base._split(terms, 1 + max(map(itemgetter(0), terms), default=-1)))
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +465,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 # one parser per process: parse_args keeps no state between calls, and
-# help text reads the terminal width when it is printed, not here
+# help text reads the terminal width when it is printed, not here; its
+# ``commands`` are the subcommands' parsers by name (``main``)
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="polydecomp", description=__doc__.splitlines()[0])
@@ -474,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="degree of the generic polynomial")
     sp.add_argument("--d", type=int, required=True, help="outer degree d >= 2")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    parser.commands = sub.choices
     return parser
 
 
@@ -587,8 +610,13 @@ def _cmd_variety(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # argv that starts with a subcommand goes straight to its parser,
+        # which is where the top-level parser would pass the rest of it
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.run(args)
     except PolyDecompError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

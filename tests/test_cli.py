@@ -243,6 +243,22 @@ PINNED_ERROR_LINES = [
         "3*(2^10000)^100*(2^10000)^4*2^8570*-3*x", "Q",
         "ConstantTooLarge: coefficients could reach 1048577 bits, above the bound 1048576 (at position 37)",
     ),
+    # a sign the grammar does not read as the operator between two terms,
+    # as the parser printed them before a term token took the sign before it
+    ("+x", "Q", "ParseError: unexpected '+' (at position 0)"),
+    ("(+x)", "Q", "ParseError: unexpected '+' (at position 1)"),
+    ("x-+x", "Q", "ParseError: unexpected '+' (at position 2)"),
+    ("x*+2*x", "Q", "ParseError: unexpected '+' (at position 2)"),
+    ("+ 3", "Q", "ParseError: unexpected '+' (at position 0)"),
+    ("x^-3*x", "Q", "ParseError: expected 'number', found '-' (at position 2)"),
+    ("7/-2*x", "Q", "ParseError: expected 'number', found '-' (at position 2)"),
+    ("2*  -x^10001", "Q", "ParseError: exponent 10001 is too large (at position 7)"),
+    ("x^2-1/0*x", "Q", "DivisionByZeroLiteral: denominator is zero (at position 6)"),
+    pytest.param(
+        "(" * MAX_DEPTH + "-3*x" + ")" * MAX_DEPTH, "Q",
+        f"ParseError: nesting deeper than {MAX_DEPTH} levels (at position {MAX_DEPTH})",
+        id="signed-term-too-deep",
+    ),
 ]
 
 
@@ -268,8 +284,10 @@ def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
 
 # the fuzz alphabet with a tab and an unknown variable, and pieces at a
 # term token's edges: a literal after '^' or '/', a caret after a term,
-# a signed, a repeated and a rational term
-TERM_PIECES = ["3^2*x", "1 /2*x", "2*x ^3", "x^2^3", "-2*x^3", "2*x^3*3*y", "3/2*x^5"]
+# a signed, a repeated, a rational and a constant term, and signs after
+# an operator, spaced or not
+TERM_PIECES = ["3^2*x", "1 /2*x", "2*x ^3", "x^2^3", "-2*x^3", "2*x^3*3*y", "3/2*x^5", "-7/3"]
+TERM_PIECES += ["+x", "- 3*x", "+ 2", "*-", "*+", "^-", "/-", "--", "+-", "-  "]
 TERM_PIECES += list("xyw2(+-*^/ )")
 ROUTE_TEXTS = st.one_of(
     st.text("xyw0123456789+-*^()/ \t", max_size=12),
@@ -302,6 +320,18 @@ def test_term_tokens_read_as_the_plain_rules(text, field, names):
     assert _outcome(parse_poly, text, field, names) == _outcome(_plain_parse, text, field, names)
 
 
+# where a term token's sign is or is not the operator between two terms
+SIGN_TEXTS = ["+x", "(+x)", "x-+x", "x - -3*x", "2*-3*x", "x*+2*x", "-x^2", "x^-3*x", "7/-2*x"]
+SIGN_TEXTS += ["(" * depth + "-3*x" + ")" * depth for depth in (MAX_DEPTH - 1, MAX_DEPTH)]
+SIGN_TEXTS += ["x -  -3*x", "2*  -x", "-3*x*y^2", "y - 2*x*y", "x^2 - 1", "(x - 1/2)^2 + 3"]
+
+
+@pytest.mark.parametrize("text", SIGN_TEXTS)
+def test_signed_term_tokens_read_as_the_plain_rules(text):
+    for field in (QQ, PrimeField(5)):
+        assert _outcome(parse_poly, text, field, ["x", "y"]) == _outcome(_plain_parse, text, field, ["x", "y"])
+
+
 def test_expanded_text_is_read_in_one_pass():
     """Printed polynomials and sums of c/c*v^e terms, spaced or not, need
     no second pass 1 on the plain tokens."""
@@ -319,6 +349,13 @@ def test_expanded_text_is_read_in_one_pass():
         parser = cli._Parser(text, field, names)
         parser.tree(cli._TERM)  # raises no _Replay
         assert "term" in parser.kinds, text
+    # a printed univariate polynomial is one token per term
+    for field in (QQ, PrimeField(5)):
+        for _ in range(40):
+            p = rand_poly(rng, field, "x", rng.randint(0, 8))
+            parser = cli._Parser(str(p), field, ["x"])
+            parser.tree(cli._TERM)
+            assert parser.kinds == ["term"] * max(1, sum(map(bool, p.values))) + ["end"], str(p)
 
 
 def test_parse_unknown_variable():
@@ -762,6 +799,48 @@ def test_cli_calls_share_no_state(capsys):
     assert [run_cli(capsys, *argv) for argv in (valid, bad, valid)] == fresh
     assert fresh[0][0] == 0 and json.loads(fresh[0][1])["decomposable"] is True
     assert fresh[1] == (1, "", "error: UsageError: argument --d: invalid int value: 'two'\n")
+
+
+# every subcommand, valid, then what argparse answers or rejects: a missing
+# required flag, a bad int, a flag with no command, abbreviated flags, an
+# unknown flag, an unknown command, no argv, and help
+DISPATCH_ARGV = [
+    ["root", "x^2+2*x+1", "--d", "2"],
+    ["decompose", "x^6+6*x^5+6*x+1", "--d", "2", "--verify"],
+    ["check", "x^4+2*x^2+1", "--d", "2", "--json"],
+    ["variety", "--n", "6", "--d", "2"],
+    ["root", "x^2+1"],
+    ["check", "x^4+1", "--d", "two"],
+    ["--d=2"],
+    ["decompose", "x^4+2*x^2+1", "--d", "2", "--ver"],
+    ["root", "x^4+2*x^2+1", "--d", "2", "--fie", "gf:5"],
+    ["root", "x^4+1", "--d", "2", "--bogus"],
+    ["frobnicate", "x^4+1", "--d", "2"],
+    [],
+    ["-h"],
+    ["root", "--help"],
+]
+
+
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_subcommand_parsers_answer_as_the_top_level_parser(capsys, monkeypatch, argv):
+    """main hands argv that starts with a subcommand to that subcommand's
+    parser; with no subcommand parsers to hand it to, the top-level parser
+    reads every argv, and exit codes, stdout and stderr are the same."""
+    direct = _exit_and_output(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["polydecomp", *argv])
+    assert _exit_and_output(capsys, None) == direct
+    monkeypatch.setattr(build_parser(), "commands", {})
+    assert _exit_and_output(capsys, argv) == _exit_and_output(capsys, None) == direct
 
 
 def test_installed_script_entry_point():

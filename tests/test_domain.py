@@ -163,6 +163,8 @@ def test_primality_equals_trial_division():
         assert not _is_prime(n)
         with pytest.raises(ValueError):
             PrimeField(n)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, above 2**31
+    assert not _is_prime(3215031751)
 
 
 def test_residues_are_canonical():
