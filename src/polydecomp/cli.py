@@ -17,8 +17,9 @@ or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
 from its operands, is rejected before it is computed.  A first pass
 raises every other error before any arithmetic but the literals' values
 (_Parser), and keeps only the nonzero terms; a whole term of a sum with
-the sign before it is one token, so expanded input costs 1.4-2.5 us a
-term (README).  Text output
+the sign before it, such as - 3/2*x^5*y^2, is one token, so a term of
+expanded input costs one leaf, in one variable or several (README).
+Text output
 re-parses to a structurally equal polynomial under this grammar.
 ``variety --n`` is at most MAX_VARIETY_N: the generic polynomial has n
 indeterminates.
@@ -38,7 +39,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import compress, islice
 from math import lcm
 from operator import add, itemgetter
 from typing import Sequence
@@ -93,20 +94,25 @@ class UsageError(PolyDecompError):
 _RULES = {"number": "[0-9]+", "ident": VARIABLE_NAME.pattern, "op": "[-+*^()/]"}
 _TOKEN = re.compile("|".join(_RULES.values()) + r"|\S")
 # A whole term of a sum as one token, with the sign before it if any: a
-# variable power v^e after its literal c/c and '*', if any, or a literal
-# alone that a sign, ')' or the end follows.  Its parts are groups 1-5,
-# each a whole token of _TOKEN, whose token is group 6 where no term
-# matches.  A term token never starts right after an operator (nor one
-# space after one) or, unsigned, right after a digit, and is never the
-# base of a '^'.
+# monomial v^e*w^f... with no space inside after its literal c/c and '*',
+# if any, or a literal alone that a sign, ')' or the end follows.  Its
+# parts are groups 1-5 (sign, numerator, denominator, first variable and
+# its exponent), each a whole token of _TOKEN, and group 6, the run of
+# letters, digits, '*' and '^' from a '*' and a letter that holds the
+# other factors (``expr`` replays a run that is not a product of
+# variable powers, such as *y*3).  Group 7 is the token of _TOKEN where
+# no term matches.  A term token never starts right after an operator
+# (nor one space after one) or, unsigned, right after a digit, and is
+# never the base of a '^'.  A branch with an empty arm, not '?', makes a
+# group optional: the regex engine takes it in fewer steps.
 _TERM = re.compile(
-    r"(?<![-+*^/])(?<![-+*^/]\s)(?:([-+])\s*|(?<![0-9]))(?:([0-9]+)(?:/([0-9]+))?\*?)?"
-    rf"(?:(?<![0-9])({VARIABLE_NAME.pattern})(?:\^([0-9]+))?|(?<=[0-9])(?=\s*(?:[-+)]|\Z)))"
-    rf"(?![A-Za-z0-9]|\s*\^)|({_TOKEN.pattern})"
+    r"(?<![-+*^/])(?<![-+*^/]\s)(?:([-+])\s*|(?<![0-9]))(?:([0-9]+)(?:/([0-9]+)|)\*?|)"
+    rf"(?:(?<![0-9])({VARIABLE_NAME.pattern})(?:\^([0-9]+)|)(\*[A-Za-z][*^A-Za-z0-9]*|)(?<![*^])"
+    rf"|(?<=[0-9])(?=\s*(?:[-+)]|\Z)))(?![A-Za-z0-9]|\s*\^)|({_TOKEN.pattern})"
 )
 # a token's kind by its first character, read off the rules (which are
 # ASCII; the first rule wins), an operator being its own kind; a term
-# token has no group 6 text
+# token has no group 7 text
 _KINDS = {"": "term"} | {
     c: c if kind == "op" else kind
     for kind, rule in reversed(_RULES.items())
@@ -162,9 +168,10 @@ class _Parser:
     input"; an error gives its token's character offset (``at``).
 
     The tokens are first _TERM's, a whole term of a sum with the sign
-    before it being one leaf (``expr``).  Where that pass 1 raises, it
-    runs again on the plain tokens (_TOKEN), which raise the error as
-    written; else both trees have one value.
+    before it, c/c times a product of variable powers, being one leaf
+    (``expr``) whose key adds up each factor's exponent at its level.
+    Where that pass 1 raises, it runs again on the plain tokens (_TOKEN),
+    which raise the error as written; else both trees have one value.
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
@@ -187,7 +194,7 @@ class _Parser:
     def tree(self, token: re.Pattern) -> tuple:
         """Pass 1 on the tokens of ``token``."""
         self.token, self.groups = token, token.findall(self.text)
-        self.texts = list(map(itemgetter(5), self.groups)) if token is _TERM else self.groups
+        self.texts = list(map(itemgetter(6), self.groups)) if token is _TERM else self.groups
         self.kinds = list(map(_KINDS.get, map(itemgetter(slice(1)), self.texts))) + ["end"]
         if None in self.kinds:
             index = self.kinds.index(None)
@@ -220,8 +227,10 @@ class _Parser:
         A term token's sign is the operator before it, or the sum's unary
         '-'.  Where the grammar reads it otherwise (a '+', or a '-' nested
         too deep, that opens the sum; a term token after an operator and
-        two spaces), or would reject a part, _Replay.  A term token is only
-        a product's first factor: the bound at its '*' holds at those after."""
+        two spaces; a factor that is no variable power), or would reject a
+        part (an unknown name, a degree past MAX_DEGREE), _Replay.  A term
+        token is only a product's first factor: the bound at its '*' holds
+        at those after."""
         kinds, groups, leaves, children = self.kinds, self.groups, {}, []
         index, negative = self.index, False
         sign = kinds[index] == "term" and groups[index][0]
@@ -230,7 +239,7 @@ class _Parser:
         canonical, places, one = self.field._canonical, self.places, self.one
         while True:
             if kinds[index] == "term":  # a whole term, or a product's first factor
-                sign, num, den, name, e, _ = groups[index]
+                sign, num, den, name, e, factors, _ = groups[index]
                 try:
                     e, num = int(e or 1), -int(num or 1) if sign == "-" else int(num or 1)
                     if den or num != 1:
@@ -240,10 +249,20 @@ class _Parser:
                     if name:
                         head, tail = places[name]
                         key = head + (e,) + tail
+                        # the other variable powers, each exponent added at
+                        # its variable's level: the length of its head
+                        if factors:
+                            key = list(key)
+                            for power in factors[1:].split("*"):
+                                name, caret, e = power.partition("^")
+                                key[len(places[name][0])] += int(e) if caret else 1
+                            e, key = max(key), tuple(key)
                     else:  # a constant
                         key = self.constant
                 except (ValueError, ZeroDivisionError, NotInvertible, KeyError):
-                    raise _Replay from None  # a long literal, a zero denominator, an unknown name
+                    # a long literal, a zero denominator, an unknown name or a
+                    # factor that is no variable power
+                    raise _Replay from None
                 if e > MAX_DEGREE:
                     raise _Replay
                 index += 1
@@ -452,7 +471,8 @@ def element_to_text(el: Element) -> str:
         names.append(ground.variable)
         ground = ground.base
     terms = sorted(el.value.items(), reverse=True) if names else [((), el.value)]
-    return join_terms(ground, ((c, reversed([*zip(names, key)])) for key, c in terms))
+    # each monomial innermost variable first, its zero exponents dropped
+    return join_terms(ground, ((c, [*compress(zip(names, key), key)][::-1]) for key, c in terms))
 
 
 # ----------------------------------------------------------------------

@@ -251,17 +251,20 @@ def join_terms(domain: Domain, terms: Iterable[tuple[object, Iterable[tuple[str,
     parenthesized.  The empty sum is "0".
     """
     parts: list[str] = []
+    tower = isinstance(domain, PolynomialRing)
     for c, monomial in terms:
         if not c:
             continue
-        level, c = descend(domain, c)
+        if tower:  # a ground coefficient has no level to descend
+            level, c = descend(domain, c)
         sign = "+"
-        if isinstance(level, PolynomialRing):
+        if tower and isinstance(level, PolynomialRing):
             text, unit = f"({level._text(c)})", False
-        else:
-            if c < 0:
-                sign, c = "-", -c
-            text, unit = value_text(c), c == 1
+        else:  # read off the text: Fraction comparisons cost more
+            text = value_text(c)
+            if text[0] == "-":
+                sign, text = "-", text[1:]
+            unit = text == "1"
         names = "*".join([v if e == 1 else f"{v}^{e}" for v, e in monomial if e])
         if not names:
             body = text

@@ -27,6 +27,7 @@ from polydecomp.cli import (
     parse_poly,
     poly_to_json,
 )
+from polydecomp.decide import variety_equations
 from polydecomp.decomp import ConditionReport, decompose
 from polydecomp.errors import (
     ConstantTooLarge,
@@ -36,7 +37,7 @@ from polydecomp.errors import (
     UnknownVariable,
 )
 from polydecomp.poly import unfold
-from support import poly_from_json, rand_poly
+from support import poly_from_json, rand_element, rand_poly
 
 QQ = Rationals()
 
@@ -259,6 +260,27 @@ PINNED_ERROR_LINES = [
         f"ParseError: nesting deeper than {MAX_DEPTH} levels (at position {MAX_DEPTH})",
         id="signed-term-too-deep",
     ),
+    # monomial-shaped, as the parser printed them before a product of
+    # variable powers became one token
+    ("3*x*w", "Q", "UnknownVariable: unknown variable 'w' (at position 4)"),
+    ("x^2*3*y", "Q", "UnknownVariable: unknown variable 'y' (at position 6)"),
+    ("x*x^10001", "Q", "ParseError: exponent 10001 is too large (at position 4)"),
+    ("x^6000*x^6000", "Q", "DegreeTooLarge: degree 12000 is above the bound 10000 (at position 6)"),
+    ("x - 7/2*x*x^9999*x^2", "Q", "DegreeTooLarge: degree 10002 is above the bound 10000 (at position 16)"),
+    ("2*x*x^2^3", "Q", "ParseError: unexpected '^' (at position 7)"),
+    ("x*x^2 ^3", "Q", "ParseError: unexpected '^' (at position 6)"),
+    ("x*x^", "Q", "ParseError: expected 'number', found 'end of input' (at position 4)"),
+    ("x*x^*x", "Q", "ParseError: expected 'number', found '*' (at position 4)"),
+    ("-x*x*(x+1)^10001", "Q", "ParseError: exponent 10001 is too large (at position 11)"),
+    pytest.param(
+        "(" * MAX_DEPTH + "-2*x*x" + ")" * MAX_DEPTH, "gf:5",
+        f"ParseError: nesting deeper than {MAX_DEPTH} levels (at position {MAX_DEPTH})",
+        id="signed-monomial-too-deep",
+    ),
+    pytest.param(
+        "x*x*" + "2" * 5000, "Q", "ParseError: literal of 5000 digits is too long (at position 4)",
+        id="5000-digit-factor",
+    ),
 ]
 
 
@@ -284,10 +306,13 @@ def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
 
 # the fuzz alphabet with a tab and an unknown variable, and pieces at a
 # term token's edges: a literal after '^' or '/', a caret after a term,
-# a signed, a repeated, a rational and a constant term, and signs after
-# an operator, spaced or not
+# a signed, a repeated, a rational and a constant term, signs after an
+# operator, spaced or not, and products of variable powers: repeated,
+# out of level order, past the degree bound, with a caret after them,
+# an unknown name or a space inside
 TERM_PIECES = ["3^2*x", "1 /2*x", "2*x ^3", "x^2^3", "-2*x^3", "2*x^3*3*y", "3/2*x^5", "-7/3"]
 TERM_PIECES += ["+x", "- 3*x", "+ 2", "*-", "*+", "^-", "/-", "--", "+-", "-  "]
+TERM_PIECES += ["x*y", "y^2*x", "x*x^3", "*z", "x^9999*x^2", "2*x*y^2*z", "x*y^2^3", "x*w", "x *y"]
 TERM_PIECES += list("xyw2(+-*^/ )")
 ROUTE_TEXTS = st.one_of(
     st.text("xyw0123456789+-*^()/ \t", max_size=12),
@@ -314,7 +339,7 @@ def _outcome(read, *args):
 @given(
     ROUTE_TEXTS,
     st.sampled_from([QQ, PrimeField(5), PrimeField(2)]),
-    st.sampled_from([["x"], ["x", "y"], ["y", "x"]]),
+    st.sampled_from([["x"], ["x", "y"], ["y", "x"], ["x", "y", "z"], ["z", "x", "y"]]),
 )
 def test_term_tokens_read_as_the_plain_rules(text, field, names):
     assert _outcome(parse_poly, text, field, names) == _outcome(_plain_parse, text, field, names)
@@ -324,6 +349,14 @@ def test_term_tokens_read_as_the_plain_rules(text, field, names):
 SIGN_TEXTS = ["+x", "(+x)", "x-+x", "x - -3*x", "2*-3*x", "x*+2*x", "-x^2", "x^-3*x", "7/-2*x"]
 SIGN_TEXTS += ["(" * depth + "-3*x" + ")" * depth for depth in (MAX_DEPTH - 1, MAX_DEPTH)]
 SIGN_TEXTS += ["x -  -3*x", "2*  -x", "-3*x*y^2", "y - 2*x*y", "x^2 - 1", "(x - 1/2)^2 + 3"]
+# products of variable powers as one token: an unknown name in a later
+# factor, an exponent or a degree past the bound, nesting at and past
+# the bound, and a token as a product's first factor
+SIGN_TEXTS += ["x*y*w", "2*x*z^2", "x - y^2*x*w", "x*y^10001", "-x^2*y^10001", "x^6000*x^6000"]
+SIGN_TEXTS += ["y*x^5000*x^5000", "y^5000*x*y^5001", "-x*y*(x+1)", "x*y^2*3", "x*y*(x+1)^2 - x"]
+SIGN_TEXTS += [
+    "(" * depth + term + ")" * depth for depth in (MAX_DEPTH - 1, MAX_DEPTH) for term in ("x*y^2", "-2*y*x")
+]
 
 
 @pytest.mark.parametrize("text", SIGN_TEXTS)
@@ -333,7 +366,7 @@ def test_signed_term_tokens_read_as_the_plain_rules(text):
 
 
 def test_expanded_text_is_read_in_one_pass():
-    """Printed polynomials and sums of c/c*v^e terms, spaced or not, need
+    """Printed polynomials and sums of c/c*v^e*w^f terms, spaced or not, need
     no second pass 1 on the plain tokens."""
     rng = random.Random(131)
     tower = polynomial_tower(QQ, ["y"])
@@ -356,6 +389,50 @@ def test_expanded_text_is_read_in_one_pass():
             parser = cli._Parser(str(p), field, ["x"])
             parser.tree(cli._TERM)
             assert parser.kinds == ["term"] * max(1, sum(map(bool, p.values))) + ["end"], str(p)
+    # and so is expanded tower text: c*x^a*y^b*z^c terms, as the benchmark
+    # writes them, and QQ[y][z] values as element_to_text prints them
+    for _ in range(60):
+        names = rng.choice([["x", "y"], ["x", "y", "z"], ["z", "x", "y"]])
+        keys = {tuple(rng.randint(0, 5) for _ in names) for _ in range(rng.randint(1, 12))}
+        terms = [(key, rng.choice([1, -1, rng.randint(-99, 99) or 7, Fraction(rng.randint(-9, 9) or 1, 4)]))
+                 for key in sorted(keys, reverse=True)]
+        text = _expanded(terms, names)
+        parser = cli._Parser(text, QQ, names)
+        parser.tree(cli._TERM)
+        assert parser.kinds == ["term"] * len(terms) + ["end"], text
+    yz = polynomial_tower(QQ, ["y", "z"])
+    for _ in range(60):
+        text = element_to_text(rand_element(rng, yz, 4))
+        parser = cli._Parser(text, QQ, ["z", "y"])
+        parser.tree(cli._TERM)
+        assert parser.kinds == ["term"] * (text.count(" ") // 2 + 1) + ["end"], text
+
+
+def _expanded(terms, names):
+    """Expanded text of (exponents, nonzero coefficient) terms in the
+    benchmark's form: no spaces, c*x^a*y^b, unit coefficients and zero
+    exponents left out."""
+    out = []
+    for key, c in terms:
+        monomial = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, key) if e)
+        body = str(abs(c))
+        if monomial:
+            body = monomial if abs(c) == 1 else f"{body}*{monomial}"
+        out.append(body if not out and c > 0 else ("-" if c < 0 else "+") + body)
+    return "".join(out)
+
+
+def test_variety_text_round_trips():
+    """Each printed variety equation parses back to itself, its outermost
+    indeterminate as the main variable."""
+    for n in range(2, 11):
+        for d in range(2, n + 1):
+            if n % d:
+                continue
+            system = variety_equations(n, d)
+            names = [system.indeterminates[-1], *system.indeterminates[:-1]]
+            for eq in system.equations:
+                assert parse_poly(element_to_text(eq), QQ, names) == unfold(eq.domain, eq.value)
 
 
 def test_parse_unknown_variable():
