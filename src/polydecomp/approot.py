@@ -16,9 +16,11 @@ involves b_k, so matching A[d][k] = a_k solves
     b_k = (a_k - (rest_1 + ... + rest_d)) * d^-1
 
 one k at a time.  Only the top m + 1 coefficients of P are read, and
-the table costs O(d*m^2) ring operations and no polynomial product;
-the rests run over the nonzero b_i only, so a sparse Q costs O(d*m)
-times its number of terms.
+the table costs O(d*m^2) ring operations and no polynomial product.
+Row A[1] is b itself.  While b_1 .. b_(k-1) are all nonzero, each rest
+is one dot product of b[1:k] with a reversed slice of its row; from the
+first zero b_i on, the rests run over the nonzero b_i only, so a sparse
+Q costs O(d*m) times its number of terms.
 The one division is by d (``_over``), which must be invertible; nothing
 else must be, so one recurrence serves Q, GF(p) with p <= m and towers.
 ``root`` runs on ``_working`` values and returns Q's: over a tower maps
@@ -58,21 +60,22 @@ def root(domain, top, d: int) -> list:
     add, sub, dot, over_d = domain._add, domain._sub, domain._dot, domain._over(d)
     m = len(top) - 1
     zero, one = domain._zero, domain._one
-    b = [one]
+    b = [one] + [zero] * m
     nonzero = []  # the i >= 1 with b_i != 0, the only terms of a rest
-    b_nonzero = []  # b_i for those i
-    # rows[j - 1][k] = A[j][k] for j = 1 .. d - 1; A[d] is never needed
-    rows = [[one] + [zero] * m for _ in range(d - 1)]
+    # rows[j - 1][k] = A[j][k] for j = 1 .. d - 1, A[1] being b; A[d] is never needed
+    rows = [b] + [[one] + [zero] * m for _ in range(d - 2)]
     for k in range(1, m + 1):
-        # rest_1 = 0, and rest_(j+1) is read off row j
-        rests = [zero] + [dot(b_nonzero, [row[k - i] for i in nonzero]) for row in rows]
-        b_k = over_d(sub(top[m - k], reduce(add, rests)))
-        b.append(b_k)
+        # rest_1 = 0, and rest_(j+1) is read off row j: by slices while
+        # b_1 .. b_(k-1) are all nonzero, then at the nonzero b_i only
+        if len(nonzero) == k - 1:
+            rests = [dot(b[1:k], row[k - 1 : 0 : -1]) for row in rows]
+        else:
+            b_i = [b[i] for i in nonzero]
+            rests = [dot(b_i, [row[k - i] for i in nonzero]) for row in rows]
+        b[k] = below = b_k = over_d(sub(top[m - k], reduce(add, rests)))
         if b_k:
             nonzero.append(k)
-            b_nonzero.append(b_k)
-        below = zero
-        for row, rest in zip(rows, rests):
+        for row, rest in zip(rows[1:], rests):
             row[k] = below = add(add(below, b_k), rest)
     return b[::-1]
 

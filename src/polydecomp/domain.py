@@ -122,8 +122,9 @@ class Domain:
 
     A Poly stores raw values and computes with these hooks and the list
     product _mul_lists, which multiplies int numerators over one common
-    denominator as big ints (``_convolve``) and divides each output term
-    once (_ratio: a Fraction over Q, mod p over GF(p)); ``_compose`` is
+    denominator as big ints (``_convolve``, or over GF(p) as unsigned
+    words while each output fits one) and divides each output term once
+    (_ratio: a Fraction over Q, mod p over GF(p)); ``_compose`` is
     Horner's rule on the lists.  approx_root, decompose and
     variety_equations add _dot and ``_over(d)`` and run on the values
     ``_working`` gives: over Q those of s^n * p(x/s) over ``_Integers``,
@@ -414,10 +415,17 @@ class PrimeField(Domain):
         # den is 1 when num and den come from residues
         return num % self.p if den == 1 else num * self._invert(den) % self.p
 
-    # delayed reduction: sums of products are plain ints, reduced once
+    # delayed reduction: sums of products are plain ints, reduced once.
+    # An output is at most min(len(a), len(b)) * (p - 1)^2; below 2^64
+    # the residues pack as unsigned words, with no bound to scan for and
+    # no sign borrow, and otherwise they go to the signed _convolve
     def _mul_lists(self, a, b):
-        p = self.p
-        return [c % p for c in _convolve(a, b)]
+        p, n = self.p, len(a) + len(b) - 1
+        if (p - 1) ** 2 * min(len(a), len(b)) >> 64:
+            return [c % p for c in _convolve(a, b)]
+        words = int.from_bytes(pack(f"<{len(a)}Q", *a), "little")
+        words *= int.from_bytes(pack(f"<{len(b)}Q", *b), "little")
+        return [c % p for c in unpack(f"<{n}Q", words.to_bytes(8 * n, "little"))]
 
     def _dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p

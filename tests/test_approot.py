@@ -17,7 +17,7 @@ from polydecomp import (
     approx_root,
     polynomial_tower,
 )
-from support import rand_int_poly, rand_poly
+from support import approx_root_by_powers, rand_element, rand_int_poly, rand_poly
 
 QQ = Rationals()
 P6 = Poly(QQ, "x", [1, 6, 0, 0, 0, 6, 1])
@@ -99,6 +99,42 @@ def test_quadratic_root_formulas_over_generic_coefficients():
     b2 = (a[2] - b1 * b1) * half
     b3 = (a[3] - (b1 * b2 + b1 * b2)) * half
     assert q.coeffs == (b3, b2, b1, tower.one)
+
+
+def test_root_switches_from_slices_to_gathers_at_the_first_zero():
+    """Q with exactly one zero b_j, j in {1, m // 2, m}, and every other
+    b_i nonzero: the rests are read by slices up to b_j and at the
+    nonzero b_i after it.  Over QQ, GF(1000003), GF(3) with p <= m and
+    QQ[y], the root of Q**d plus low terms is Q and the oracle's."""
+    rng = random.Random(71)
+    cases = [
+        (QQ, (2, 3), 8),
+        (PrimeField(1000003), (2, 3), 12),
+        (PrimeField(3), (2,), 7),
+        (polynomial_tower(QQ, ["y"]), (2, 3), 5),
+    ]
+    for domain, ds, m in cases:
+        for d, j in ((d, j) for d in ds for j in (1, m // 2, m)):
+            coeffs = []
+            while len(coeffs) < m:
+                c = rand_element(rng, domain)
+                coeffs += [] if c.is_zero else [c]
+            coeffs[m - j] = domain.zero  # b_j is the x^(m - j) coefficient
+            q = Poly(domain, "x", coeffs + [domain.one])
+            p = q**d + rand_poly(rng, domain, "x", rng.randint(0, (d - 1) * m - 1))
+            assert approx_root(p, d) == approx_root_by_powers(p, d) == q
+
+
+def test_sparse_root_reads_only_the_nonzero_terms(monkeypatch):
+    """Q = x^m + c*x^(m-1) + 1 over GF(1000003), m = 200, d = 3: after the
+    first zero b_i the rests run over the nonzero b_i only, so the table
+    hands _dot at most (d - 1) * m pairs per nonzero b_i, not O(d*m^2)."""
+    field, m, d = PrimeField(1000003), 200, 3
+    q = Poly(field, "x", [1] + [0] * (m - 2) + [5, 1])
+    pairs, dot = [], field._dot
+    monkeypatch.setattr(field, "_dot", lambda xs, ys: pairs.append(len(xs)) or dot(xs, ys))
+    assert approx_root(q**d, d) == q
+    assert sum(pairs) <= (d - 1) * m * 2
 
 
 def test_rejects_non_monic():

@@ -484,9 +484,12 @@ def test_packed_products_at_the_slot_boundary(data):
     assert (n * m * k < WORD) == (n == (WORD - 1) // (m * k))
 
 
-def test_packed_products_of_edge_shapes():
+def test_packed_products_of_edge_shapes(monkeypatch):
     """Length-1 lists, all-zero operands and 1 x 200 lists, against the
-    schoolbook product."""
+    schoolbook product; GF(p) products at the unsigned word rule's
+    boundary, against the int product mod p."""
+    from polydecomp import domain
+
     rng = random.Random(18)
     wide = [Fraction(rng.randrange(-(2**100), 2**100), rng.randrange(1, 2**20)) for _ in range(7)]
     for x, y in ((wide[0], wide[1]), (-(2**62), 2), (2**62, -2), (WORD, 1), (-WORD, -WORD)):
@@ -501,6 +504,22 @@ def test_packed_products_of_edge_shapes():
         short = Poly(MERSENNE_31, "x", [c])
         assert short * long == schoolbook_product(short, long)
         assert long * short == schoolbook_product(long, short)
+    # all p - 1: with 4 terms on the shorter side an output reaches
+    # 4 * (p - 1)^2 < 2^64 and fits a word; 5 terms go to _convolve
+    convolved, convolve = [], domain._convolve
+    monkeypatch.setattr(domain, "_convolve", lambda a, b: convolved.append(1) or convolve(a, b))
+    assert max(_int_product([p - 1] * 4, [p - 1] * 37)) == 4 * (p - 1) ** 2 < 2**64
+    for shorter, longer in ((1, 1), (1, 37), (4, 4), (4, 37), (5, 5), (5, 37)):
+        a, b = [p - 1] * shorter, [p - 1] * longer
+        for x, y in ((a, b), (b, a)):
+            convolved.clear()
+            assert MERSENNE_31._mul_lists(x, y) == [c % p for c in _int_product(x, y)]
+            assert bool(convolved) == (shorter == 5)
+    for field in (PrimeField(2), PrimeField(1000003)):
+        q = field.p
+        for la, lb in ((la, lb) for la in range(1, 4) for lb in range(1, 4)):
+            a, b = ([rng.choice([0, 1, q - 1, rng.randrange(q)]) for _ in range(n)] for n in (la, lb))
+            assert field._mul_lists(a, b) == [c % q for c in _int_product(a, b)]
 
 
 def _int_product(a: list, b: list) -> list:
