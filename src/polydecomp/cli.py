@@ -14,12 +14,12 @@ only inside rational literals.  Letters and digits are ASCII only,
 '(' and unary '-' nest at most MAX_DEPTH levels deep, and a product or
 power whose degree in some variable, as written, would pass MAX_DEGREE,
 or whose coefficients could pass MAX_COEFF_BITS bits by a bound taken
-from its operands, is rejected before it is computed.  A first pass
-raises every other error before any arithmetic but the literals' values
-(_Parser), and keeps only the nonzero terms; a whole term of a sum with
-the sign before it, such as - 3/2*x^5*y^2, is one token, so a term of
-expanded input costs one leaf, in one variable or several (README).
-Text output
+from its operands, is rejected before it is computed.  A text that is
+an expanded sum, terms such as - 3/2*x^5*y^2 each with the sign before
+it, is read in one loop over its terms; every other text goes to the
+grammar, whose first pass raises every other error before any
+arithmetic but the literals' values (_Parser).  Only nonzero terms are
+kept (README).  Text output
 re-parses to a structurally equal polynomial under this grammar.
 ``variety --n`` is at most MAX_VARIETY_N: the generic polynomial has n
 indeterminates.
@@ -93,36 +93,31 @@ class UsageError(PolyDecompError):
 # matches no alternative, so findall skips it
 _RULES = {"number": "[0-9]+", "ident": VARIABLE_NAME.pattern, "op": "[-+*^()/]"}
 _TOKEN = re.compile("|".join(_RULES.values()) + r"|\S")
-# A whole term of a sum as one token, with the sign before it if any: a
-# monomial v^e*w^f... with no space inside after its literal c/c and '*',
-# if any, or a literal alone that a sign, ')' or the end follows.  Its
-# parts are groups 1-5 (sign, numerator, denominator, first variable and
-# its exponent), each a whole token of _TOKEN, and group 6, the run of
-# letters, digits, '*' and '^' from a '*' and a letter that holds the
-# other factors (``expr`` replays a run that is not a product of
-# variable powers, such as *y*3).  Group 7 is the token of _TOKEN where
-# no term matches.  A term token never starts right after an operator
-# (nor one space after one) or, unsigned, right after a digit, and is
-# never the base of a '^'.  A branch with an empty arm, not '?', makes a
-# group optional: the regex engine takes it in fewer steps.
+# A whole term of an expanded sum as one token, with the sign before it
+# if any: a literal c/c, a product of variable powers v^e*w^f... with no
+# space inside, or both joined by '*'.  Its parts are groups 1-5 (sign,
+# numerator, denominator, first variable and its exponent), each a whole
+# token of _TOKEN, and group 6, the run of letters, digits, '*' and '^'
+# from a '*' and a letter that holds the other factors.  Group 7 is the
+# token of _TOKEN where no term matches, so a text that has one is not
+# read as an expanded sum (``_Parser.expanded``).  Neither an unsigned
+# term nor a variable starts right after a digit, so '2x' is no term and
+# no match is empty; a literal alone ends in a digit.  A branch with an
+# empty arm, not '?', makes a group optional: the regex engine takes it
+# in fewer steps.
 _TERM = re.compile(
-    r"(?<![-+*^/])(?<![-+*^/]\s)(?:([-+])\s*|(?<![0-9]))(?:([0-9]+)(?:/([0-9]+)|)\*?|)"
-    rf"(?:(?<![0-9])({VARIABLE_NAME.pattern})(?:\^([0-9]+)|)(\*[A-Za-z][*^A-Za-z0-9]*|)(?<![*^])"
-    rf"|(?<=[0-9])(?=\s*(?:[-+)]|\Z)))(?![A-Za-z0-9]|\s*\^)|({_TOKEN.pattern})"
+    r"(?:([-+])\s*|(?<![0-9]))(?:([0-9]+)(?:/([0-9]+)|)\*?|)"
+    rf"(?:(?<![0-9])({VARIABLE_NAME.pattern})(?:\^([0-9]+)|)(\*[A-Za-z][*^A-Za-z0-9]*|)|(?<=[0-9]))"
+    rf"|({_TOKEN.pattern})"
 )
 # a token's kind by its first character, read off the rules (which are
-# ASCII; the first rule wins), an operator being its own kind; a term
-# token has no group 7 text
-_KINDS = {"": "term"} | {
+# ASCII; the first rule wins), an operator being its own kind
+_KINDS = {
     c: c if kind == "op" else kind
     for kind, rule in reversed(_RULES.items())
     for c in map(chr, range(128))
     if re.match(rule, c)
 }
-
-
-class _Replay(Exception):
-    """Pass 1 over term tokens cannot give what the plain tokens give (_Parser)."""
 
 
 def _norm_bits(terms: dict, field: Domain) -> int:
@@ -143,14 +138,19 @@ def _norm_bits(terms: dict, field: Domain) -> int:
 
 
 class _Parser:
-    """Recursive descent over the token list in two passes.
+    """The map {key: raw ground value}, without zero values, of a text.
 
-    Pass 1, the grammar rules, builds a tree and raises every ParseError,
+    A text that is an expanded sum is read in one loop over its terms
+    (``expanded``).  Every other text goes to the grammar rules, a
+    recursive descent over the tokens of _TOKEN in two passes, so every
+    error and its offset is the grammar's.
+
+    Pass 1, ``tree``, builds a tree and raises every ParseError,
     UnknownVariable, DivisionByZeroLiteral and DegreeTooLarge; its only
     arithmetic is each literal's ground value and a leaf's negation:
 
         leaf      (value, key)              value * the monomial key
-        sum       ("+", degrees, {key: value} of leaves, other terms)
+        sum       ("+", degrees, terms)
         product   ("*", degrees, factors, token indices of the '*'s)
         power     ("^", degrees, base, e, token index of the '^')
         negation  ("-", degrees, node)
@@ -159,19 +159,13 @@ class _Parser:
     the outermost in.  Degrees are as written (a sum takes the larger;
     a leaf's are its key).  A term of leaves, all of value one but at
     most one, is one leaf.  Pass 2, ``evaluate``, raises only
-    ConstantTooLarge: it computes maps {key: raw ground value} without
-    zero values, sums and negations with the field's hooks, in place,
-    since a map belongs to the node that returned it, products on
-    integer numerators (sparse.py) and powers by the shared squaring
-    ``poly.power``.  Tokens are read by index, a list of kinds beside a
-    list of texts, ending in an "end" token whose text is "end of
-    input"; an error gives its token's character offset (``at``).
-
-    The tokens are first _TERM's, a whole term of a sum with the sign
-    before it, c/c times a product of variable powers, being one leaf
-    (``expr``) whose key adds up each factor's exponent at its level.
-    Where that pass 1 raises, it runs again on the plain tokens (_TOKEN),
-    which raise the error as written; else both trees have one value.
+    ConstantTooLarge: it computes maps without zero values, sums and
+    negations with the field's hooks, in place, since a map belongs to
+    the node that returned it, products on integer numerators
+    (sparse.py) and powers by the shared squaring ``poly.power``.
+    Tokens are read by index, a list of kinds beside a list of texts,
+    ending in an "end" token whose text is "end of input"; an error
+    gives its token's character offset (``at``).
     """
 
     def __init__(self, text: str, field: Domain, levels: Sequence[str]):
@@ -181,30 +175,64 @@ class _Parser:
 
     def at(self, index: int) -> int:
         """The character offset of token ``index``, found again: only errors need it."""
-        match = next(islice(self.token.finditer(self.text), index, None), None)
+        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return match.start() if match else len(self.text)
 
     def parse(self) -> dict:
-        try:
-            tree = self.tree(_TERM)
-        except (PolyDecompError, _Replay):
-            tree = None  # read again below, so that no error chains to this one
-        return self.evaluate(tree or self.tree(_TOKEN))
+        terms = self.expanded()
+        return self.evaluate(self.tree()) if terms is None else terms
 
-    def tree(self, token: re.Pattern) -> tuple:
-        """Pass 1 on the tokens of ``token``."""
-        self.token, self.groups = token, token.findall(self.text)
-        self.texts = list(map(itemgetter(6), self.groups)) if token is _TERM else self.groups
+    def expanded(self) -> dict | None:
+        """The map of a text whose tokens of _TERM are all term tokens, the
+        first unsigned or '-' and each later one signed, each term c/c
+        times a product of variable powers; None for any other text, and
+        where the grammar would reject a term's part (a long literal, a
+        zero denominator, an unknown name, a degree past MAX_DEGREE) or
+        read a run of factors otherwise (x*y*3)."""
+        tokens = _TERM.findall(self.text)
+        if not tokens or tokens[0][0] == "+" or not all(map(itemgetter(0), tokens[1:])):
+            return None
+        canonical, places, one, plus = self.field._canonical, self.places, self.one, self.field._add
+        terms = {}
+        for sign, num, den, name, e, factors, other in tokens:
+            if other:
+                return None
+            try:
+                e, num = int(e or 1), -int(num or 1) if sign == "-" else int(num or 1)
+                value = canonical(Fraction(num, int(den)) if den else num) if den or num != 1 else one
+                if name:
+                    head, tail = places[name]
+                    key = head + (e,) + tail
+                    # the other variable powers, each exponent added at its
+                    # variable's level: the length of its head
+                    if factors:
+                        key = list(key)
+                        for power in factors[1:].split("*"):
+                            name, caret, e = power.partition("^")
+                            key[len(places[name][0])] += int(e) if caret else 1
+                        e, key = max(key), tuple(key)
+                else:  # a constant
+                    key = self.constant
+            except (ValueError, ZeroDivisionError, NotInvertible, KeyError):
+                return None
+            if e > MAX_DEGREE:
+                return None
+            terms[key] = plus(terms[key], value) if key in terms else value
+        return terms if all(terms.values()) else {key: value for key, value in terms.items() if value}
+
+    def tree(self) -> tuple:
+        """Pass 1 on the tokens of _TOKEN."""
+        self.texts = _TOKEN.findall(self.text)
         self.kinds = list(map(_KINDS.get, map(itemgetter(slice(1)), self.texts))) + ["end"]
         if None in self.kinds:
             index = self.kinds.index(None)
             raise ParseError(f"unexpected character {self.texts[index]!r}", self.at(index))
         self.texts.append("end of input")
         self.index = self.depth = 0
-        leaves, children = self.expr()
+        node = "+", (), self.expr()
         if self.kinds[self.index] != "end":
             raise ParseError(f"unexpected {self.texts[self.index]!r}", self.at(self.index))
-        return "+", (), leaves, children
+        return node
 
     def expect(self, kind: str) -> int:
         """The index of the next token, which must be of ``kind``."""
@@ -221,73 +249,17 @@ class _Parser:
             message = f"literal of {len(self.texts[index])} digits is too long"
             raise ParseError(message, self.at(index)) from None
 
-    def expr(self) -> tuple[dict, list]:
-        """The terms of a sum, each with its sign applied: the leaves of term
-        tokens in one map while their keys differ, and a list of the rest.
-        A term token's sign is the operator before it, or the sum's unary
-        '-'.  Where the grammar reads it otherwise (a '+', or a '-' nested
-        too deep, that opens the sum; a term token after an operator and
-        two spaces; a factor that is no variable power), or would reject a
-        part (an unknown name, a degree past MAX_DEGREE), _Replay.  A term
-        token is only a product's first factor: the bound at its '*' holds
-        at those after."""
-        kinds, groups, leaves, children = self.kinds, self.groups, {}, []
-        index, negative = self.index, False
-        sign = kinds[index] == "term" and groups[index][0]
-        if sign == "+" or sign and self.depth == MAX_DEPTH:
-            raise _Replay
-        canonical, places, one = self.field._canonical, self.places, self.one
+    def expr(self) -> list:
+        """The terms of a sum, each with its sign applied."""
+        terms, negative = [], False
         while True:
-            if kinds[index] == "term":  # a whole term, or a product's first factor
-                sign, num, den, name, e, factors, _ = groups[index]
-                try:
-                    e, num = int(e or 1), -int(num or 1) if sign == "-" else int(num or 1)
-                    if den or num != 1:
-                        value = canonical(Fraction(num, int(den)) if den else num)
-                    else:  # a bare variable power
-                        value = one
-                    if name:
-                        head, tail = places[name]
-                        key = head + (e,) + tail
-                        # the other variable powers, each exponent added at
-                        # its variable's level: the length of its head
-                        if factors:
-                            key = list(key)
-                            for power in factors[1:].split("*"):
-                                name, caret, e = power.partition("^")
-                                key[len(places[name][0])] += int(e) if caret else 1
-                            e, key = max(key), tuple(key)
-                    else:  # a constant
-                        key = self.constant
-                except (ValueError, ZeroDivisionError, NotInvertible, KeyError):
-                    # a long literal, a zero denominator, an unknown name or a
-                    # factor that is no variable power
-                    raise _Replay from None
-                if e > MAX_DEGREE:
-                    raise _Replay
-                index += 1
-                if kinds[index] == "*":
-                    self.index = index
-                    children.append(self.term((value, key)))
-                    index = self.index
-                elif key in leaves:
-                    children.append((value, key))
-                else:
-                    leaves[key] = value
-            else:
-                self.index = index
-                node = self.term(self.factor())
-                children.append(self.negate(node) if negative else node)
-                index = self.index
-            op = kinds[index]
-            if op == "term" and groups[index][0]:
-                continue
-            self.index = index
+            node = self.term(self.factor())
+            terms.append(self.negate(node) if negative else node)
+            op = self.kinds[self.index]
             if op != "+" and op != "-":
-                return leaves, children
-            negative, index = op == "-", index + 1
-            if kinds[index] == "term":  # after the operator and two spaces
-                raise _Replay
+                return terms
+            negative = op == "-"
+            self.index += 1
 
     def term(self, node: tuple) -> tuple:
         """The product of the factor ``node``, just read, and those after it."""
@@ -359,12 +331,9 @@ class _Parser:
             if kind == "-":
                 node = self.negate(self.factor())
             else:
-                leaves, children = self.expr()
+                terms = self.expr()
                 self.expect(")")
-                if len(leaves) + len(children) > 1:
-                    node = "+", tuple(map(max, *leaves, *(n[1] for n in children))), leaves, children
-                else:  # one term
-                    node = children[0] if children else next(iter(leaves.items()))[::-1]
+                node = ("+", tuple(map(max, *(n[1] for n in terms))), terms) if len(terms) > 1 else terms[0]
             self.depth -= 1
             return node
         raise ParseError(f"unexpected {self.texts[index]!r}", self.at(index))
@@ -378,11 +347,9 @@ class _Parser:
         if len(node) == 2:
             return {node[1]: node[0]} if node[0] else {}
         field, op = self.field, node[0]
-        if op == "+":  # its leaves' map, then each other leaf straight into it
-            terms, plus = node[2], field._add
-            if not all(terms.values()):  # a zero literal
-                terms = {key: value for key, value in terms.items() if value}
-            for child in node[3]:
+        if op == "+":  # each leaf straight into the map, each other term merged
+            terms, plus = {}, field._add
+            for child in node[2]:
                 if len(child) != 2:
                     terms = merge(terms, self.evaluate(child), field)
                     continue

@@ -321,10 +321,10 @@ ROUTE_TEXTS = st.one_of(
 
 
 def _plain_parse(text, field, names):
-    """parse_poly with the plain token rules alone: no term token."""
+    """parse_poly with the grammar alone: no expanded-sum reader."""
     main, others = names[0], names[1:]
     parser = cli._Parser(text, field, [main, *reversed(others)])
-    return unfold(polynomial_tower(field, [*others, main]), parser.evaluate(parser.tree(cli._TOKEN)))
+    return unfold(polynomial_tower(field, [*others, main]), parser.evaluate(parser.tree()))
 
 
 def _outcome(read, *args):
@@ -357,6 +357,11 @@ SIGN_TEXTS += ["y*x^5000*x^5000", "y^5000*x*y^5001", "-x*y*(x+1)", "x*y^2*3", "x
 SIGN_TEXTS += [
     "(" * depth + term + ")" * depth for depth in (MAX_DEPTH - 1, MAX_DEPTH) for term in ("x*y^2", "-2*y*x")
 ]
+# the reader's edges: no term, zero terms (5*x is zero over GF(5)),
+# terms that cancel or repeat, the degree bound met and passed, and a
+# literal past the interpreter's int/str digit limit
+SIGN_TEXTS += ["", "   ", "\t-x", "0", "0*x", "-0", "5*x + 1", "x - x", "x^2 + 1 - x^2", "1/2*x - 1/2*x"]
+SIGN_TEXTS += ["x + x", "x^5000*x^5000", "x^5000*x^5001", "x^2 + " + "7" * 5000]
 
 
 @pytest.mark.parametrize("text", SIGN_TEXTS)
@@ -366,29 +371,22 @@ def test_signed_term_tokens_read_as_the_plain_rules(text):
 
 
 def test_expanded_text_is_read_in_one_pass():
-    """Printed polynomials and sums of c/c*v^e*w^f terms, spaced or not, need
-    no second pass 1 on the plain tokens."""
+    """Printed polynomials and sums of c/c*v^e*w^f terms, spaced between
+    terms or not, are read as expanded sums, one token of _TERM per term."""
     rng = random.Random(131)
-    tower = polynomial_tower(QQ, ["y"])
     cases = [
         ("-x^3+1/2*x-7", QQ, ["x"]),
-        ("-2*x^3 - 3/4 * x\t+ 5*x^0", PrimeField(7), ["x"]),
+        ("-2*x^3 - 3/4*x\t+ 5*x^0", PrimeField(7), ["x"]),
         ("9*x^5*y+24*x^5*y^2-9*x^5-2*y*x^2+x*y+1", QQ, ["x", "y"]),
     ]
     for field in (QQ, PrimeField(5)):
         cases += [(str(rand_poly(rng, field, "x", rng.randint(1, 8))), field, ["x"]) for _ in range(40)]
-    cases += [(str(rand_poly(rng, tower, "x", rng.randint(1, 5))), QQ, ["x", "y"]) for _ in range(40)]
-    for text, field, names in cases:
-        parser = cli._Parser(text, field, names)
-        parser.tree(cli._TERM)  # raises no _Replay
-        assert "term" in parser.kinds, text
     # a printed univariate polynomial is one token per term
     for field in (QQ, PrimeField(5)):
         for _ in range(40):
             p = rand_poly(rng, field, "x", rng.randint(0, 8))
-            parser = cli._Parser(str(p), field, ["x"])
-            parser.tree(cli._TERM)
-            assert parser.kinds == ["term"] * max(1, sum(map(bool, p.values))) + ["end"], str(p)
+            assert len(cli._TERM.findall(str(p))) == max(1, sum(map(bool, p.values))), str(p)
+            cases.append((str(p), field, ["x"]))
     # and so is expanded tower text: c*x^a*y^b*z^c terms, as the benchmark
     # writes them, and QQ[y][z] values as element_to_text prints them
     for _ in range(60):
@@ -397,15 +395,35 @@ def test_expanded_text_is_read_in_one_pass():
         terms = [(key, rng.choice([1, -1, rng.randint(-99, 99) or 7, Fraction(rng.randint(-9, 9) or 1, 4)]))
                  for key in sorted(keys, reverse=True)]
         text = _expanded(terms, names)
-        parser = cli._Parser(text, QQ, names)
-        parser.tree(cli._TERM)
-        assert parser.kinds == ["term"] * len(terms) + ["end"], text
+        assert len(cli._TERM.findall(text)) == len(terms), text
+        cases.append((text, QQ, names))
     yz = polynomial_tower(QQ, ["y", "z"])
     for _ in range(60):
         text = element_to_text(rand_element(rng, yz, 4))
-        parser = cli._Parser(text, QQ, ["z", "y"])
-        parser.tree(cli._TERM)
-        assert parser.kinds == ["term"] * (text.count(" ") // 2 + 1) + ["end"], text
+        assert len(cli._TERM.findall(text)) == text.count(" ") // 2 + 1, text
+        cases.append((text, QQ, ["z", "y"]))
+    for text, field, names in cases:
+        assert cli._Parser(text, field, names).expanded() is not None, text
+
+
+def test_grammar_runs_at_most_once(monkeypatch):
+    """A text the reader declines, such as a printed Poly over QQ[y], runs
+    pass 1 once, on the plain tokens, and an expanded sum never runs it."""
+    calls = []
+    tree = cli._Parser.tree
+    monkeypatch.setattr(cli._Parser, "tree", lambda self: calls.append(self.text) or tree(self))
+    xy = ["x", "y"]
+    declined = "+".join(f"x^{i}*y*3" for i in range(1, 301))
+    expanded = "+".join(f"3*x^{i}*y" for i in range(1, 301))
+    assert parse_poly(declined, QQ, xy) == parse_poly(expanded, QQ, xy)
+    assert calls == [declined]
+    calls.clear()
+    printed = str(rand_poly(random.Random(131), polynomial_tower(QQ, ["y"]), "x", 5))
+    parse_poly(printed, QQ, xy)
+    assert calls == [printed]
+    calls.clear()
+    parse_poly("9*x^5*y+24*x^5*y^2-9*x^5-2*y*x^2+x*y+1", QQ, xy)
+    assert calls == []
 
 
 def _expanded(terms, names):
@@ -460,17 +478,25 @@ def test_parse_rational_literals_reduce_in_prime_fields():
 
 
 def test_parse_builds_one_fraction_per_literal(monkeypatch):
-    """Over QQ each literal, rational or integer, in a term token, as a
-    bare constant or inside parentheses, becomes one Fraction, and a
-    bare variable power none: the canonical form of a Fraction is that
-    Fraction, not a copy."""
+    """Over QQ each literal, rational or integer, in an expanded sum or read
+    by the grammar, becomes one Fraction, and a bare variable power none:
+    the canonical form of a Fraction is that Fraction, not a copy."""
     made = []
     original = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *args: made.append(args) or original(*args)))
-    text = "3/4*x^5 - 1/6*x^3 + 5/2*y*x + (7/9)*x^2 + 2/3 + 8*y + x^4"
-    p = parse_poly(text, QQ, ["x", "y"])
-    assert len(made) == 6
-    assert p == parse_poly("x^4 + 3/4*x^5 + 2/3 - 1/6*x^3 + 5/2*y*x + 8*y + 7/9*x^2", QQ, ["x", "y"])
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    xy = ["x", "y"]
+    p = parse_poly("3/4*x^5 - 1/6*x^3 + 5/2*y*x + 2/3 + 8*y + x^4", QQ, xy)  # read as an expanded sum
+    assert len(made) == 5
+    made.clear()
+    q = parse_poly("(7/9)*x^2 + 2/3", QQ, xy)  # read by the grammar
+    assert len(made) == 2
+    assert p == parse_poly("x^4 + 3/4*x^5 + 2/3 - 1/6*x^3 + 5/2*y*x + 8*y", QQ, xy)
+    assert q == parse_poly("2/3 + 7/9*x^2", QQ, xy)
 
 
 def test_parse_division_only_in_literals():
