@@ -7,21 +7,22 @@ divisible by deg q.  Under those constraints the triple (h, q, r) is
 unique, which makes it a normal form: p is a composition of the given
 shape exactly when r vanishes.
 
-With m = deg q and e = p - q**d, the coefficients of h and r are read
-off from the top of p down, each by one linear equation in those
-already found: at x^i the coefficient left is c = e[i] minus the sum of
-h_j * (q^j)[i] over i/m < j < d - 1, every such h_j being found by
-then (h_(d-1) is 0 and h_d is in e).  A nonzero c goes to h as
-c*t^(i/m) when m divides i, since q^(i/m) is monic; otherwise it goes
-to r as c*x^i.  The powers q^2 .. q^d cost d - 1 list products, each
-one big-int multiply (``domain._convolve``), or over a tower one
-``sparse.product`` on packed monomials, and each coefficient one dot
-product over at most d - 2 terms, so the split is O(n*d) ring
-operations for n = deg p besides the products.  ``split`` runs it on
-working values, with Q's from ``approot.root``: over a tower maps keyed
-by packed monomials, and over Q and towers over Q, s^n * p(x/s) as
-there; each ground term of h, q and r is unpacked and divided by its
-power of s once, at the end.
+With m = deg q, split takes two steps once q^2 .. q^d are known, d - 1
+list products, each one big-int multiply (``domain._convolve``), or
+over a tower one ``sparse.product`` on packed monomials.  First h, from
+d equations: q^k is monic of degree km and q^j for j < k stops below
+it, so the x^(km) coefficient of p - h(q) is p[km] - h_k minus the sum
+of h_j * (q^j)[km] over k < j <= d.  With h_d = 1 and h_(d-1) = 0 (q is
+the approximate root), setting it to 0 gives each h_k, k = d - 2 .. 0,
+by at most one dot product over those found before it (``Domain._left``),
+O(d^2) ring operations.  Then r = p - h(q) (``Domain._remainder``),
+zero at every x^(km) by construction: over GF(p) one sum of the powers
+packed as unsigned words and n + 1 reductions mod p, elsewhere one dot
+product per coefficient, O(n*d) ring operations for n = deg p.  For
+m = 1, r is 0.  ``split`` runs on working values, with Q's from
+``approot.root``: over a tower maps keyed by packed monomials, and over
+Q and towers over Q, s^n * p(x/s) as there; each ground term of h, q
+and r is unpacked and divided by its power of s once, at the end.
 """
 
 from __future__ import annotations
@@ -64,21 +65,12 @@ def split(domain: Domain, p, d: int) -> tuple[list, list, list]:
     powers = [[domain._one], root(domain, p[-m - 1 :], d)]  # q^j, j = 0 .. d
     for _ in range(d - 1):
         powers.append(domain._mul_lists(powers[-1], powers[1]))
-    # p and q^d are both monic of degree n
-    e = list(map(domain._sub, p, powers[d]))
+    # h_k cancels x^(km) in p - h(q), top down: q^k is monic of degree km,
+    # q^j for j < k stops below it, and h_(d-1) is 0 since q is p's approximate root
     h = [domain._zero] * d + [domain._one]
-    r = [domain._zero] * len(e)
-    for i in range(len(e) - 1, -1, -1):
-        # h_j for i/m < j < d - 1, all found by now; a sparse h has few
-        j, c = i // m + 1, e[i]
-        if any(h[j : d - 1]):
-            c = domain._sub(c, domain._dot(h[j : d - 1], [q_j[i] for q_j in powers[j : d - 1]]))
-        if not c:
-            continue
-        if i % m:
-            r[i] = c
-        else:
-            h[i // m] = c
+    for k in range(d - 2, -1, -1):
+        h[k] = domain._left(p, h, powers, k * m, k + 1)
+    r = domain._remainder(p, h, powers, m) if m > 1 else [domain._zero] * len(p)
     return h, powers[1], r
 
 

@@ -126,13 +126,13 @@ class Domain:
     words while each output fits one) and divides each output term once
     (_ratio: a Fraction over Q, mod p over GF(p)); ``_compose`` is
     Horner's rule on the lists.  approx_root, decompose and
-    variety_equations add _dot and ``_over(d)`` and run on the values
-    ``_working`` gives: over Q those of s^n * p(x/s) over ``_Integers``,
-    and over a tower maps with each monomial packed into one int
-    (``_Packed``), scaled so over Q.  ``_join`` maps a list of values to
-    one map of ground terms keyed by list index, then exponents, and
-    ``_split`` maps it back.  ``_names`` holds the variables of a tower.
-    The kernels trust their values to be canonical.
+    variety_equations add _dot, ``_over(d)``, ``_left`` and ``_remainder``
+    and run on the values ``_working`` gives: over Q those of s^n * p(x/s)
+    over ``_Integers``, and over a tower maps with each monomial packed
+    into one int (``_Packed``), scaled so over Q.  ``_join`` maps a list
+    of values to one map of ground terms keyed by list index, then
+    exponents, and ``_split`` maps it back.  ``_names`` holds the
+    variables of a tower.  The kernels trust their values to be canonical.
     """
 
     is_field = False
@@ -181,6 +181,21 @@ class Domain:
             out = self._mul_lists(out, q)
             out[0] = self._add(out[0], c)
         return out
+
+    def _remainder(self, p, h, powers, m: int) -> list:
+        """p - h(q) for q of degree m, powers[j] = q^j and h as split finds
+        it: zero at each x^(km) and ``_left`` at any other x^i."""
+        return [self._left(p, h, powers, i, i // m + 1) if i % m else self._zero for i in range(len(p))]
+
+    def _left(self, p, h, powers, i: int, j: int):
+        """p[i] minus the x^i coefficients of h_k * q^k over k >= j, with
+        h_d = 1 and h_(d-1) = 0: p - h(q) at x^i when each q^k, k < j,
+        stops below x^i."""
+        d = len(h) - 1
+        c = self._sub(p[i], powers[d][i])
+        if any(h[j : d - 1]):  # a sparse h has few nonzero h_k
+            c = self._sub(c, self._dot(h[j : d - 1], [q_j[i] for q_j in powers[j : d - 1]]))
+        return c
 
     def _add(self, a, b):
         return a + b
@@ -429,6 +444,16 @@ class PrimeField(Domain):
 
     def _dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
+
+    # p - h(q) as one sum of the packed words of the powers: a word sums at
+    # most (p - 1)^2 per nonzero h_j, and otherwise the dots of the default
+    def _remainder(self, p, h, powers, m: int) -> list:
+        terms = [(c, q_j) for c, q_j in zip(h, powers) if c]
+        if (self.p - 1) ** 2 * len(terms) >> 64:
+            return super()._remainder(p, h, powers, m)
+        words = sum(c * int.from_bytes(pack(f"<{len(q_j)}Q", *q_j), "little") for c, q_j in terms)
+        sums = unpack(f"<{len(p)}Q", words.to_bytes(8 * len(p), "little"))
+        return [(a - b) % self.p for a, b in zip(p, sums)]
 
     def __str__(self):
         return f"GF({self.p})"

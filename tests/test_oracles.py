@@ -33,7 +33,7 @@ from polydecomp import (
 )
 from polydecomp import approot, decide, decomp
 from polydecomp.cli import parse_poly
-from polydecomp.domain import _Integers, _Packed
+from polydecomp.domain import Domain, _Integers, _Packed
 from polydecomp.poly import unfold
 from polydecomp.sparse import Terms
 from support import (
@@ -841,6 +841,88 @@ def test_poly_operation_counts(monkeypatch, domain, d):
     assert calls == {"compose": 0, "__pow__": 0, "_mul_lists": 0}
     decompose(p, d)
     assert calls == {"compose": 0, "__pow__": 0, "_mul_lists": d - 1}
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_split_dot_counts(monkeypatch, d):
+    """Over GF(1000003) decompose makes the root's (d - 1) * m dot products
+    and d - 2 more, one per h_k for k < d - 2 (h_(d-2) has no nonzero h_j
+    above it to sum): its remainder is one sum of words, with no dot and
+    no list product."""
+    field, m, dots = PrimeField(1000003), 7, []
+    original = PrimeField._dot
+    monkeypatch.setattr(PrimeField, "_dot", lambda self, xs, ys: dots.append(1) or original(self, xs, ys))
+    rng = random.Random(d)
+    decompose(Poly(field, "x", [rng.randrange(field.p) for _ in range(d * m)] + [1]), d)
+    assert len(dots) == (d - 1) * m + d - 2
+
+
+def _remainder_inputs(p: Poly, d: int) -> tuple:
+    """The p, h, powers and m that split hands to ``_remainder``."""
+    dec = decompose(p, d)
+    return p.values, list(dec.h.values), [(dec.q**j).values for j in range(d + 1)], dec.q.degree
+
+
+def _sparse_composition(rng, field, d: int, m: int) -> tuple:
+    """(p, h, q, r) with p = h(q) + r in normal form and h_j = 0 for about
+    half of the j < d - 1."""
+    h = [rng.randrange(field.p) if rng.random() < 0.5 else 0 for _ in range(d - 1)] + [0, 1]
+    h = Poly(field, decomp.OUTER_VARIABLE, h)
+    q = Poly(field, "x", [rng.randrange(field.p) for _ in range(m)] + [1])
+    r = Poly(field, "x", [rng.randrange(field.p) if i % m else 0 for i in range((d - 1) * m)])
+    return h.compose(q) + r, h, q, r
+
+
+def _word_cases():
+    """Remainder inputs over GF(p) for each case the words must cover."""
+    rng = random.Random(28)
+    for _ in range(12):  # random GF(1000003) inputs, m = 1 among them
+        field, d = PrimeField(1000003), rng.choice([2, 3, 4, 6])
+        p = Poly(field, "x", [rng.randrange(field.p) for _ in range(d * rng.randint(1, 9))] + [1])
+        yield p, d
+    for field, d, m in [(PrimeField(1000003), 5, 4), (PrimeField(1000003), 8, 3), (PrimeField(5), 3, 5)]:
+        yield _sparse_composition(rng, field, d, m)[0], d
+    for d, m in [(2, 5), (3, 6), (4, 7), (2, 1), (4, 1)]:  # GF(5), p <= m, and m = 1
+        field = PrimeField(5)
+        yield Poly(field, "x", [rng.randrange(5) for _ in range(d * m)] + [1]), d
+
+
+WORD_CASES = list(_word_cases())
+
+
+@pytest.mark.parametrize("p, d", WORD_CASES, ids=[f"{p.domain}-n{p.degree}-d{d}" for p, d in WORD_CASES])
+def test_word_remainder_equals_the_default(p, d):
+    """PrimeField._remainder against the per-coefficient loop of
+    Domain._remainder on split's own inputs, and decompose against the
+    peeling oracle: r is the domain's zero at every multiple of m."""
+    values, h, powers, m = _remainder_inputs(p, d)
+    words = p.domain._remainder(values, h, powers, m)
+    assert words == Domain._remainder(p.domain, values, h, powers, m)
+    assert all(words[i] == p.domain._zero for i in range(0, len(words), m))
+    dec = decompose(p, d)
+    assert dec == decompose_by_peeling(p, d)
+    assert list(dec.r.values) == words[: len(dec.r.values)] and not any(words[len(dec.r.values) :])
+
+
+@pytest.mark.parametrize("d, words", [(4, True), (5, False)])
+def test_word_remainder_at_its_bound(monkeypatch, d, words):
+    """Over GF(2^31 - 1), with every h_j below d - 1 and every power
+    value p - 1, d = 4 sums 4 powers within a word, 4 * (p - 1)^2 < 2^64,
+    and d = 5 sums 5, which could pass 2^64, so it takes the default."""
+    field, m, rng, calls = PrimeField(2**31 - 1), 3, random.Random(d), []
+    original = Domain._remainder
+    monkeypatch.setattr(Domain, "_remainder", lambda *args: calls.append(1) or original(*args))
+    top = field.p - 1
+    h = [top] * (d - 1) + [0, 1]
+    powers = [[top] * (j * m + 1) for j in range(d + 1)]
+    r = [rng.randrange(field.p) if i % m else 0 for i in range(d * m + 1)]
+    p = [(c + sum(h_j * q_j[i] for h_j, q_j in zip(h, powers) if i < len(q_j))) % field.p for i, c in enumerate(r)]
+    assert field._remainder(p, h, powers, m) == r
+    assert calls == ([] if words else [1])
+    assert original(field, p, h, powers, m) == r
+    # decompose on a sparse h at the same d
+    p, h, q, r = _sparse_composition(rng, field, d, m)
+    assert decompose(p, d) == decomp.Decomposition(h, q, r, d)
 
 
 def test_sympy_chains_are_found_here():
