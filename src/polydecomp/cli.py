@@ -60,6 +60,7 @@ from .domain import (
     PolynomialRing,
     PrimeField,
     Rationals,
+    check_variable,
     polynomial_tower,
     value_text,
 )
@@ -159,10 +160,10 @@ class _Parser:
     the outermost in.  Degrees are as written (a sum takes the larger;
     a leaf's are its key).  A term of leaves, all of value one but at
     most one, is one leaf.  Pass 2, ``evaluate``, raises only
-    ConstantTooLarge: it computes maps without zero values, sums and
-    negations with the field's hooks, in place, since a map belongs to
-    the node that returned it, products on integer numerators
-    (sparse.py) and powers by the shared squaring ``poly.power``.
+    ConstantTooLarge: it computes maps without zero values, a sum by
+    merging its terms' maps and a negation with the field's hooks, in
+    place, since a map belongs to the node that returned it, products
+    on integer numerators (sparse.py) and powers by ``poly.power``.
     Tokens are read by index, a list of kinds beside a list of texts,
     ending in an "end" token whose text is "end of input"; an error
     gives its token's character offset (``at``).
@@ -347,19 +348,10 @@ class _Parser:
         if len(node) == 2:
             return {node[1]: node[0]} if node[0] else {}
         field, op = self.field, node[0]
-        if op == "+":  # each leaf straight into the map, each other term merged
-            terms, plus = {}, field._add
+        if op == "+":
+            terms = {}
             for child in node[2]:
-                if len(child) != 2:
-                    terms = merge(terms, self.evaluate(child), field)
-                    continue
-                value, key = child
-                if key in terms:
-                    value = plus(terms[key], value)
-                if value:
-                    terms[key] = value
-                else:
-                    terms.pop(key, None)
+                terms = merge(terms, self.evaluate(child), field)
             return terms
         if op == "-":
             return negate(self.evaluate(node[2]), field)
@@ -409,8 +401,7 @@ def parse_poly(
     if main not in names:
         raise ValueError(f"main variable {main!r} is not among {names}")
     for name in names:
-        if not VARIABLE_NAME.fullmatch(name):
-            raise ValueError(f"bad variable name {name!r}")
+        check_variable(field, name)
     others = [v for v in names if v != main]
     base = polynomial_tower(field, others)
     terms = _Parser(text, field, [main, *reversed(others)]).parse()

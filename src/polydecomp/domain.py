@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import index, mul
+from operator import add, index, mul
 from struct import pack, unpack
 from typing import Sequence
 
@@ -107,32 +107,33 @@ class Domain:
 
     A domain's values are raw: a Fraction, a residue int, or a tower
     ring's ``sparse.Terms`` map.  A value is zero exactly when it is
-    false.  Subclasses provide the hooks _canonical and _invert plus
-    metadata.  ``_value`` coerces anything into a raw value, which
-    ``element`` wraps: it unwraps elements of this domain, hands
-    elements of other domains to _lift (an error except in towers),
-    rejects floats and canonicalizes anything else with _canonical.  The
-    _add, _sub, _mul and _neg hooks default to the values' own
-    operators; PrimeField overrides them to reduce mod p, and
-    PolynomialRing to merge and multiply maps.  ``_text`` is a value's
-    text.  Subclasses are dataclasses, so domains compare structurally;
-    equal domains are fully interchangeable.  The raw ``_zero`` and
-    ``_one`` are set once, when the domain is made; ``zero`` and ``one``
-    wrap them.
+    false.  Subclasses provide the hooks _canonical and _invert (of a
+    canonical value, or over Q and GF(p) an int) plus metadata.
+    ``_value`` coerces anything into a raw value, which ``element``
+    wraps: it unwraps elements of this domain, hands elements of other
+    domains to _lift (an error except in towers), rejects floats and
+    canonicalizes anything else with _canonical.  The _add, _sub, _mul
+    and _neg hooks default to the values' own operators; PrimeField
+    overrides them to reduce mod p, and PolynomialRing to merge and
+    multiply maps.  ``_text`` is a value's text.  Subclasses are
+    dataclasses, so domains compare structurally; equal domains are
+    fully interchangeable.  The raw ``_zero`` and ``_one`` are set once,
+    when the domain is made; ``zero`` and ``one`` wrap them.
 
     A Poly stores raw values and computes with these hooks and the list
     product _mul_lists, which multiplies int numerators over one common
     denominator as big ints (``_convolve``, or over GF(p) as unsigned
     words while each output fits one) and divides each output term once
     (_ratio: a Fraction over Q, mod p over GF(p)); ``_compose`` is
-    Horner's rule on the lists.  approx_root, decompose and
-    variety_equations add _dot, ``_over(d)``, ``_left`` and ``_remainder``
-    and run on the values ``_working`` gives: over Q those of s^n * p(x/s)
-    over ``_Integers``, and over a tower maps with each monomial packed
-    into one int (``_Packed``), scaled so over Q.  ``_join`` maps a list
-    of values to one map of ground terms keyed by list index, then
-    exponents, and ``_split`` maps it back.  ``_names`` holds the
-    variables of a tower.  The kernels trust their values to be canonical.
+    Horner's rule on the lists (``_horner``, over Q on numerators).
+    approx_root, decompose and variety_equations add _dot, ``_over(d)`` (d
+    inverted as given), ``_left`` and ``_remainder`` and run on the values
+    ``_working`` gives: over Q those of s^n * p(x/s) over ``_Integers``,
+    and over a tower maps with each monomial packed into one int
+    (``_Packed``), scaled so over Q.  ``_join`` maps a list of values to
+    one map of ground terms keyed by list index, then exponents, and
+    ``_split`` maps it back.  ``_names`` holds the variables of a tower.
+    The kernels trust their values to be canonical.
     """
 
     is_field = False
@@ -162,8 +163,8 @@ class Domain:
         raise DomainMismatch(f"{value.domain} is not {self}")
 
     def _over(self, m: int):
-        """a -> a / m, for an integer m invertible here."""
-        inv = self._invert(self._canonical(m))
+        """a -> a / m for an int m, inverted as given (``_invert``)."""
+        inv = self._invert(m)
         return lambda a: self._mul(a, inv)
 
     def _working(self, values, d: int, m: int):
@@ -173,14 +174,8 @@ class Domain:
         return self, values, lambda out, step=1: out
 
     def _compose(self, h, q) -> list:
-        """The values of h(q), by Horner on the lists."""
-        if not h or not q:
-            return list(h[:1])
-        out = [h[-1]]
-        for c in reversed(h[:-1]):
-            out = self._mul_lists(out, q)
-            out[0] = self._add(out[0], c)
-        return out
+        """The values of h(q)."""
+        return _horner(h, q, self._mul_lists, self._add)
 
     def _remainder(self, p, h, powers, m: int) -> list:
         """p - h(q) for q of degree m, powers[j] = q^j and h as split finds
@@ -223,6 +218,18 @@ class Domain:
         for (i,), v in terms.items():
             values[i] = v
         return values
+
+
+def _horner(h, q, times, plus) -> list:
+    """h(q) by Horner's rule on the value lists, with the list product
+    ``times`` and the value sum ``plus``: the one loop of every compose."""
+    if not h or not q:
+        return list(h[:1])
+    out = [h[-1]]
+    for c in reversed(h[:-1]):
+        out = times(out, q)
+        out[0] = plus(out[0], c)
+    return out
 
 
 def _convolve(a: list, b: list) -> list:
@@ -326,7 +333,7 @@ class Rationals(Domain):
     def _invert(self, a):
         if not a:
             raise NotInvertible("0 has no inverse")
-        return 1 / a
+        return Fraction(1, a)
 
     def _mul_lists(self, a, b):
         # each list over one common denominator, so only ints convolve
@@ -335,17 +342,12 @@ class Rationals(Domain):
         return [Fraction(c, den) for c in _convolve(a, b)]
 
     def _compose(self, h, q):
-        # Horner on the numerators over h's and q's common denominators
-        # dh and dq: dh * dq^deg(h) * h(q) has int values
-        if not h or not q:
-            return list(h[:1])
+        # the one Horner on numerators over h's and q's common denominators
+        # dh and dq, h_k's times dq^(deg h - k), gives dh * dq^deg(h) * h(q)
         (h, dh), (q, dq) = _numerators(h), _numerators(q)
-        out, w = h[-1:], 1
-        for c in reversed(h[:-1]):
-            w *= dq
-            out = _convolve(out, q)
-            out[0] += c * w
-        return [Fraction(c, dh * w) for c in out]
+        weights = [*accumulate(repeat(dq, len(h) - 1), mul, initial=1)]
+        out = _horner([c * w for c, w in zip(h, reversed(weights))], q, _convolve, add)
+        return [Fraction(c, dh * weights[-1]) for c in out]
 
     def _ratio(self, num: int, den: int):
         return Fraction(num, den)
@@ -403,11 +405,6 @@ class PrimeField(Domain):
             value = Fraction(value)
         return value.numerator * self._invert(value.denominator) % self.p
 
-    def _over(self, m: int):
-        # the raw m, so that NotInvertible names m and not m mod p
-        inv = self._invert(m)
-        return lambda a: self._mul(a, inv)
-
     def _add(self, a, b):
         return (a + b) % self.p
 
@@ -427,8 +424,8 @@ class PrimeField(Domain):
         return pow(a, self.p - 2, self.p)
 
     def _ratio(self, num: int, den: int):
-        # den is 1 when num and den come from residues
-        return num % self.p if den == 1 else num * self._invert(den) % self.p
+        # den is 1: residues have no denominator
+        return num % self.p
 
     # delayed reduction: sums of products are plain ints, reduced once.
     # An output is at most min(len(a), len(b)) * (p - 1)^2; below 2^64

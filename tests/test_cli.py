@@ -515,7 +515,7 @@ def test_parse_poly_validates_variable_lists():
         parse_poly("x", QQ, ["x", "x"])
     with pytest.raises(ValueError):
         parse_poly("x", QQ, ["x"], main_var="y")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad variable name 'y²'$"):
         parse_poly("x", QQ, ["x", "y²"])
     with pytest.raises(ValueError):
         parse_poly("x", QQ, ["é"])

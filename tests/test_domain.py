@@ -101,6 +101,12 @@ def test_invert_integer_failures():
         Rationals().element(0).inverse()
     with pytest.raises(NotInvertible):
         polynomial_tower(PrimeField(3), ["y"]).element(3).inverse()
+    # the division by d of approx_root inverts d as given
+    with pytest.raises(NotInvertible, match="^10 is not invertible modulo 5$"):
+        PrimeField(5)._over(10)
+    with pytest.raises(NotInvertible):
+        Rationals()._over(0)
+    assert Rationals()._over(3)(Fraction(1, 2)) == Fraction(1, 6)
 
 
 def test_element_inverse():

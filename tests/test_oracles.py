@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (
@@ -366,6 +366,26 @@ def test_verify_runs_no_root_or_split(monkeypatch):
         monkeypatch.setattr(_Packed, name, entered)
     for (p, d), dec in zip(cases, decs):
         assert verify(p, dec).ok
+
+
+def test_prime_field_ratio_sees_denominator_one(monkeypatch):
+    """Over GF(p) every map value is a residue int, so sparse.product's
+    common denominators are 1 in every call of PrimeField._ratio: Poly
+    products, verify, decompose and the parser's powers over GF(7)[y][z]."""
+    dens, ratio = [], PrimeField._ratio
+
+    def recorded(self, num, den):
+        dens.append(den)
+        return ratio(self, num, den)
+
+    monkeypatch.setattr(PrimeField, "_ratio", recorded)
+    rng = random.Random(31)
+    for d in (2, 3):
+        p = rand_poly(rng, GF7YZ, "x", 2 * d, monic=True)
+        assert (p * p).degree == 4 * d
+        assert verify(p, decompose(p, d)).ok
+    parse_poly("(y*x + 3*z)^3 - (2*y - z^2)^2*x", PrimeField(7), ["x", "y", "z"])
+    assert dens and set(dens) == {1}
 
 
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=str)
@@ -1056,8 +1076,23 @@ def expanded_sums(draw):
     return field, names, draw(st.sampled_from(names)), tree
 
 
+_X, _Y, _ONE = ("var", "x"), ("var", "y"), ("lit", 1, 1)
+
+
+# grammar-read sums whose leaves cancel or repeat, within and across terms
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(parser_cases(), expanded_sums()))
+# (x + 1)*(x - 1) - x^2 + 1
+@example((QQ, ["x"], "x", ("+", ("-", ("*", ("+", _X, _ONE), ("-", _X, _ONE)), ("^", _X, 2)), _ONE)))
+# (x - x)*y + 2*(y - y)
+@example((QQ, ["x", "y"], "x", ("+", ("*", ("-", _X, _X), _Y), ("*", ("lit", 2, 1), ("-", _Y, _Y)))))
+@example((PrimeField(7), ["x", "y"], "y", ("+", ("*", ("-", _X, _X), _Y), ("*", ("lit", 2, 1), ("-", _Y, _Y)))))
+# x^2 + x - x^2 + (x - x)
+@example((QQ, ["x"], "x", ("+", ("-", ("+", ("^", _X, 2), _X), ("^", _X, 2)), ("-", _X, _X))))
+# x^2 + x - (x^2 + x) + 1
+@example((QQ, ["x"], "x", ("+", ("-", ("+", ("^", _X, 2), _X), ("+", ("^", _X, 2), _X)), _ONE)))
+# 7*x - (x - x), zero mod 7
+@example((PrimeField(7), ["x", "y"], "x", ("-", ("*", ("lit", 7, 1), _X), ("-", _X, _X))))
 def test_parser_equals_dense_evaluation(case):
     field, names, main, tree = case
     text, _ = _render(tree)

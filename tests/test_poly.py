@@ -191,6 +191,22 @@ def test_compose_constant_outer():
     q = Poly(QQ, "x", [1, 1, 1])
     assert c.compose(q) == Poly.constant(QQ, "x", Fraction(7, 2))
     assert Poly.zero(QQ, "t").compose(q) == Poly.zero(QQ, "x")
+    # a zero inner Q, denominators that share primes (1/6 and 1/4), a
+    # zero h_k and negative values, each against the sum of h_k * Q^k
+    cases = [
+        ([3, -2, 1], []),
+        ([Fraction(1, 6), 0, Fraction(-5, 6), 1], [Fraction(-1, 4), Fraction(3, 4), 1]),
+        ([-7, 0, 0, Fraction(1, 6)], [0, Fraction(1, 4), Fraction(-1, 2)]),
+        ([0, Fraction(-1, 6)], [Fraction(1, 4)]),
+        ([Fraction(-1, 6), 0], [Fraction(5, 4), -1]),
+    ]
+    for field in (QQ, PrimeField(5)):
+        for hs, qs in cases:
+            h, q = Poly(field, "t", hs), Poly(field, "x", qs)
+            expected = Poly.zero(field, "x")
+            for k, c in enumerate(h.coeffs):
+                expected = expected + power_by_repeated_mul(q, k) * c
+            assert h.compose(q) == expected, (field, hs, qs)
 
 
 def test_evaluate_matches_term_sum():
