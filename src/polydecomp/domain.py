@@ -78,8 +78,7 @@ class Element:
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        same_domain(self.domain, other.domain)
-        return Element(self.domain, self.domain._sub(self.value, other.value))
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, Element):
@@ -234,17 +233,17 @@ def _horner(h, q, times, plus) -> list:
 
 def _convolve(a: list, b: list) -> list:
     """The unreduced product of two nonempty int lists, by Kronecker
-    substitution: each list packed into one int, in slots wide enough for
-    any output coefficient, one multiply, and the slots read back.  Every
-    slot is as wide as the widest output, so a term of more than 64 bits
-    plus twice the mean bit length of both lists is left out and adds its
-    own row at its own size: the packed ints stay within a few times the
-    operands' bits plus a word per slot."""
+    substitution: each list packed into one int, in slots of whole bytes
+    (1 or more) wide enough for any output, one multiply, and the slots
+    read back.  A slot is as wide as the widest output, so only a term
+    past the cap, 64 bits plus twice the mean bit length of both lists,
+    is left out and adds its own row at its own size: the packed ints
+    stay within a few times the operands' bits plus a word per slot."""
     n = len(a) + len(b) - 1
+    cap = 2 * (sum(map(int.bit_length, a)) + sum(map(int.bit_length, b))) // (n + 1) + 64
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
     rows = []
-    if max(top_a, top_b).bit_length() > 64:
-        cap = 2 * (sum(map(int.bit_length, a)) + sum(map(int.bit_length, b))) // (n + 1) + 64
+    if max(top_a, top_b).bit_length() > cap:
         rows = [(i, x, b) for i, x in enumerate(a) if x.bit_length() > cap]
         a = [0 if x.bit_length() > cap else x for x in a]
         rows += [(j, y, a) for j, y in enumerate(b) if y.bit_length() > cap]
@@ -252,13 +251,10 @@ def _convolve(a: list, b: list) -> list:
         top_a, top_b = max(map(abs, a)), max(map(abs, b))
     # bounds every |a[i]|, |b[j]| and |sum of a[i] * b[j]|
     top = max(top_a * top_b * min(len(a), len(b)), top_a, top_b)
-    w = max(8, top.bit_length() // 8 + 1)  # bytes of a signed slot
+    w = top.bit_length() // 8 + 1  # whole bytes of a signed slot, 1 or more
     half = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")  # each slot's top bit
     packed = ((_pack(a, w, half) * _pack(b, w, half) + half) ^ half).to_bytes(w * n, "little")
-    if w == 8:
-        out = list(unpack(f"<{n}q", packed))
-    else:
-        out = [int.from_bytes(packed[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
+    out = [int.from_bytes(packed[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
     for i, x, other in rows:
         out[i : i + len(other)] = [o + x * y for o, y in zip(out[i : i + len(other)], other)]
     return out
@@ -266,12 +262,10 @@ def _convolve(a: list, b: list) -> list:
 
 def _pack(values: list, width: int, half: int) -> int:
     """The sum of values[i] * 2**(8 * width * i) from the values' two's
-    complement slots, little-endian (``struct`` for words, twice as fast
-    as ``to_bytes``): flipping, then subtracting, each slot's top bit
-    cancels the borrow that a negative value takes from the slot above."""
-    slots = pack(f"<{len(values)}q", *values) if width == 8 else b"".join(
-        [v.to_bytes(width, "little", signed=True) for v in values]
-    )
+    complement slots, little-endian: flipping, then subtracting, each
+    slot's top bit cancels the borrow that a negative value takes from
+    the slot above."""
+    slots = b"".join([v.to_bytes(width, "little", signed=True) for v in values])
     return (int.from_bytes(slots, "little") ^ half) - half
 
 

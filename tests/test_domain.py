@@ -135,6 +135,10 @@ def test_domain_mismatch_is_an_error():
         a + b
     with pytest.raises(DomainMismatch):
         a * b
+    with pytest.raises(DomainMismatch, match="^QQ vs GF\\(5\\)$"):
+        a - b
+    with pytest.raises(TypeError):
+        Rationals().one - 1
     r1 = PolynomialRing(Rationals(), "y").element(1)
     r2 = PolynomialRing(Rationals(), "z").element(1)
     with pytest.raises(DomainMismatch):

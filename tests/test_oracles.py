@@ -477,45 +477,73 @@ def test_kernels_equal_schoolbook(domain, data):
     assert domain._dot([a.value for a in fs], [b.value for b in gs]) == expected.value
 
 
-WORD = 2**63  # a product whose coefficients stay below it packs into 64-bit slots
+WORD = 2**63  # the bound of an 8-byte signed slot
+
+
+def _recording_pack(widths: list):
+    """domain._pack, appending each width it is asked for to widths."""
+    from polydecomp import domain
+
+    pack = domain._pack
+    return lambda values, width, half: widths.append(width) or pack(values, width, half)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(data=st.data())
 def test_packed_products_at_the_slot_boundary(data):
     """QQ products whose coefficient bound B = max|f| * max|g| *
-    min(len f, len g) lies just below 2^63 or just above it and is
-    reached by one output coefficient, with negative numerators in both
-    operands, against the schoolbook product."""
-    k = data.draw(st.integers(1, 8), label="min length")
-    m = data.draw(st.integers(1, 2**20), label="max |g|")
-    n = (WORD - 1) // (m * k) + data.draw(st.integers(0, 1), label="past the word")
-    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-    sign = data.draw(st.sampled_from([1, -1]))
-    tail = data.draw(st.lists(st.integers(-m, m), max_size=6))
-    f = [n * s for s in signs]
-    # sum f[i] * g[k - 1 - i] is sign * n * m * k = B in absolute value
-    g = [sign * m * s for s in reversed(signs)] + tail
-    if data.draw(st.booleans()):
-        f, g = g, f
-    f, g = Poly(QQ, "x", f), Poly(QQ, "x", g)
-    assert f * g == schoolbook_product(f, g)
-    # the case lies on the side of the word that was drawn
-    assert (n * m * k < WORD) == (n == (WORD - 1) // (m * k))
+    min(len f, len g) lies just below and just above 2^(8w - 1), the
+    bound of a signed slot of w bytes, for each w = 1..9, and is reached
+    by one output coefficient, with negative numerators in both operands:
+    packed in slots of w bytes below the bound and w + 1 past it, and
+    equal to the schoolbook product."""
+    from polydecomp import domain
+
+    for w, past in ((w, past) for w in range(1, 10) for past in (0, 1)):
+        edge = 2 ** (8 * w - 1)
+        k = data.draw(st.integers(1, 8), label="min length")
+        m = data.draw(st.integers(1, min(2**20, (edge - 1) // k)), label="max |g|")
+        n = (edge - 1) // (m * k) + past
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+        sign = data.draw(st.sampled_from([1, -1]))
+        tail = data.draw(st.lists(st.integers(-m, m), max_size=6))
+        f = [n * s for s in signs]
+        # sum f[i] * g[k - 1 - i] is sign * n * m * k = B in absolute value
+        g = [sign * m * s for s in reversed(signs)] + tail
+        if data.draw(st.booleans()):
+            f, g = g, f
+        f, g = Poly(QQ, "x", f), Poly(QQ, "x", g)
+        widths = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(domain, "_pack", _recording_pack(widths))
+            product = f * g
+        assert product == schoolbook_product(f, g)
+        assert widths == [w + past] * 2
+        # the case lies on the side of the bound that it was built for
+        assert (n * m * k < edge) == (not past)
 
 
 def test_packed_products_of_edge_shapes(monkeypatch):
     """Length-1 lists, all-zero operands and 1 x 200 lists, against the
-    schoolbook product; GF(p) products at the unsigned word rule's
-    boundary, against the int product mod p."""
+    schoolbook product, in 1-byte slots as well as wide ones; GF(p)
+    products at the unsigned word rule's boundary, against the int
+    product mod p."""
     from polydecomp import domain
 
+    widths = []
+    monkeypatch.setattr(domain, "_pack", _recording_pack(widths))
+    for x, y in ((-11, 11), (127, -1), (-1, 1)):
+        f, g = Poly(QQ, "x", [x]), Poly(QQ, "x", [y])
+        assert f * g == schoolbook_product(f, g)
+    zeros = [QQ._zero] * 3
+    assert QQ._mul_lists(zeros, [Fraction(-127), Fraction(9)]) == [QQ._zero] * 4
+    assert QQ._mul_lists([QQ._zero], zeros) == zeros
+    assert set(widths) == {1}
     rng = random.Random(18)
     wide = [Fraction(rng.randrange(-(2**100), 2**100), rng.randrange(1, 2**20)) for _ in range(7)]
     for x, y in ((wide[0], wide[1]), (-(2**62), 2), (2**62, -2), (WORD, 1), (-WORD, -WORD)):
         f, g = Poly(QQ, "x", [x]), Poly(QQ, "x", [y])
         assert f * g == schoolbook_product(f, g)
-    zeros = [QQ._zero] * 3
     assert QQ._mul_lists(zeros, wide) == QQ._mul_lists(wide, zeros) == [QQ._zero] * 9
     p = MERSENNE_31.p
     assert MERSENNE_31._mul_lists([0, 0], [p - 1] * 5) == [0] * 6
@@ -569,21 +597,21 @@ def test_wide_terms_keep_the_packing_small(monkeypatch):
     a slot: (x^666 + 2^20000) * x^333, the Horner step of verify on
     x^999 + 2^20000*x^333 + 1 that once packed 1000 slots of 2.5 kB;
     a dense list with one wide term; a wide constant times a long list;
-    and wide negative terms in both operands."""
+    and wide negative terms in both operands.  Lists whose terms are all
+    65-300 bits wide, none past the cap, take no row: their slots hold
+    the full bound max|a| * max|b| * min(len a, len b)."""
     from polydecomp import domain
 
-    packed, pack = [], domain._pack
-
-    def recording(values, width, half):
-        packed.append(8 * width * len(values))
-        return pack(values, width, half)
-
-    monkeypatch.setattr(domain, "_pack", recording)
+    widths = []
+    monkeypatch.setattr(domain, "_pack", _recording_pack(widths))
     rng = random.Random(18)
     wide = 2**20000 + 1
 
     def small(n):
         return [rng.randint(-9, 9) for _ in range(n)]
+
+    def full(a, b):  # bytes of a slot when no term is left out
+        return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() // 8 + 1
 
     sparse = [wide] + [0] * 665 + [1]
     dense = small(300)
@@ -594,10 +622,22 @@ def test_wide_terms_keep_the_packing_small(monkeypatch):
     other[0], other[149] = wide, -wide
     shapes = ((sparse, [0] * 333 + [1]), (dense, small(300)), ([wide], small(500)), (both, other))
     for a, b in shapes:
-        packed.clear()
+        widths.clear()
         assert domain._convolve(a, b) == _int_product(a, b)
-        assert sum(packed) <= 4 * sum(map(int.bit_length, a + b)) + 256 * (len(a) + len(b))
+        slots = len(a) + len(b)
+        assert 8 * widths[0] * slots <= 4 * sum(map(int.bit_length, a + b)) + 256 * slots
+        assert widths[0] < full(a, b)
         assert domain._convolve(b, a) == _int_product(a, b)
+
+    def mid(n):  # terms of 65-300 bits, either sign
+        bits = rng.choices(range(65, 301), k=n)
+        return [rng.choice([1, -1]) * rng.randrange(2 ** (w - 1), 2**w) for w in bits]
+
+    for a, b in ((mid(1), mid(1)), (mid(3), mid(40)), (mid(25), mid(25)), (mid(60), mid(7))):
+        widths.clear()
+        assert domain._convolve(a, b) == _int_product(a, b)
+        assert domain._convolve(b, a) == _int_product(a, b)
+        assert widths == [full(a, b)] * 4
 
 
 @pytest.mark.parametrize("domain", [QQY, GF7Y, QQYZ, GF7YZ], ids=str)
