@@ -61,6 +61,7 @@ from .domain import (
     PrimeField,
     Rationals,
     check_variable,
+    ground_domain,
     polynomial_tower,
     value_text,
 )
@@ -404,7 +405,7 @@ def parse_poly(
         check_variable(field, name)
     others = [v for v in names if v != main]
     base = polynomial_tower(field, others)
-    terms = _Parser(text, field, [main, *reversed(others)]).parse()
+    terms = _Parser(text, field, (main, *base._names)).parse()
     # a value of base[main], unfolded without building that ring
     return Poly._of(base, main, base._split(terms, 1 + max(map(itemgetter(0), terms), default=-1)))
 
@@ -424,10 +425,7 @@ def poly_to_json(f: Poly) -> dict:
 def element_to_text(el: Element) -> str:
     """A tower element as explicit monomials, outermost variable sorted
     first, so nested constants print like ordinary polynomials."""
-    names, ground = [], el.domain
-    while isinstance(ground, PolynomialRing):
-        names.append(ground.variable)
-        ground = ground.base
+    names, ground = el.domain._names, ground_domain(el.domain)
     terms = sorted(el.value.items(), reverse=True) if names else [((), el.value)]
     # each monomial innermost variable first, its zero exponents dropped
     return join_terms(ground, ((c, [*compress(zip(names, key), key)][::-1]) for key, c in terms))

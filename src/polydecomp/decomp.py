@@ -15,14 +15,14 @@ it, so the x^(km) coefficient of p - h(q) is p[km] - h_k minus the sum
 of h_j * (q^j)[km] over k < j <= d.  With h_d = 1 and h_(d-1) = 0 (q is
 the approximate root), setting it to 0 gives each h_k, k = d - 2 .. 0,
 by at most one dot product over those found before it (``Domain._left``),
-O(d^2) ring operations.  Then r = p - h(q) (``Domain._remainder``),
-zero at every x^(km) by construction: over GF(p) one sum of the powers
-packed as unsigned words and n + 1 reductions mod p, elsewhere one dot
-product per coefficient, O(n*d) ring operations for n = deg p.  For
-m = 1, r is 0.  ``split`` runs on working values, with Q's from
-``approot.root``: over a tower maps keyed by packed monomials, and over
-Q and towers over Q, s^n * p(x/s) as there; each ground term of h, q
-and r is unpacked and divided by its power of s once, at the end.
+O(d^2) ring operations.  Then r = p - h(q) (``Domain._remainder``), zero
+at every x^(km) by construction: over GF(p) one sum of the powers packed
+as unsigned words per (2^64 - 1) // (p - 1)^2 nonzero h_j, reduced mod
+p, elsewhere one dot product per coefficient, O(n*d) ring operations for
+n = deg p.  For m = 1, r is 0.  ``split`` runs on working values, with
+Q's from ``approot.root``: over a tower maps keyed by packed monomials,
+and over Q and towers over Q, s^n * p(x/s) as there; each ground term of
+h, q and r is unpacked and divided by its power of s once, at the end.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import astuple, dataclass
 from itertools import chain, count
 
 from .approot import check_root, root
-from .domain import Domain, check_variable
-from .errors import DomainMismatch, VariableMismatch
+from .domain import Domain
 from .poly import Poly
 
 OUTER_VARIABLE = "t"
@@ -51,12 +50,8 @@ class Decomposition:
 
 
 def _outer_variable(domain: Domain) -> str:
-    for name in chain([OUTER_VARIABLE], (f"{OUTER_VARIABLE}{i}" for i in count(1))):
-        try:
-            check_variable(domain, name)
-        except ValueError:
-            continue
-        return name
+    names = chain([OUTER_VARIABLE], (f"{OUTER_VARIABLE}{i}" for i in count(1)))
+    return next(name for name in names if name not in domain._names)
 
 
 def split(domain: Domain, p, d: int) -> tuple[list, list, list]:
@@ -113,8 +108,6 @@ def verify(p: Poly, dec: Decomposition) -> ConditionReport:
     else:
         degree_bound = False
         index_condition = False
-    try:
-        reconstruction = h.compose(q) + r == p
-    except (DomainMismatch, VariableMismatch):
-        reconstruction = False
+    # parts that cannot be combined do not reconstruct p
+    reconstruction = h.domain == q.domain == r.domain and q.variable == r.variable and h.compose(q) + r == p
     return ConditionReport(monic, degree_bound, index_condition, reconstruction)

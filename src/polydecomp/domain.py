@@ -131,12 +131,13 @@ class Domain:
     and over a tower maps with each monomial packed into one int
     (``_Packed``), scaled so over Q.  ``_join`` maps a list of values to
     one map of ground terms keyed by list index, then exponents, and
-    ``_split`` maps it back.  ``_names`` holds the variables of a tower.
+    ``_split`` maps it back.  ``_names`` lists a tower's variables,
+    outermost first, in the order of a key's exponents.
     The kernels trust their values to be canonical.
     """
 
     is_field = False
-    _names = frozenset()
+    _names = ()
 
     def __post_init__(self):
         self._zero, self._one = self._canonical(0), self._canonical(1)
@@ -436,15 +437,16 @@ class PrimeField(Domain):
     def _dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    # p - h(q) as one sum of the packed words of the powers: a word sums at
-    # most (p - 1)^2 per nonzero h_j, and otherwise the dots of the default
+    # p - h(q) from sums of the packed words of the powers: a word sums at
+    # most (p - 1)^2 per nonzero h_j, so each group of (2^64 - 1) // (p - 1)^2
+    # of them is one sum of unsigned words, unpacked and reduced mod p once
     def _remainder(self, p, h, powers, m: int) -> list:
-        terms = [(c, q_j) for c, q_j in zip(h, powers) if c]
-        if (self.p - 1) ** 2 * len(terms) >> 64:
-            return super()._remainder(p, h, powers, m)
-        words = sum(c * int.from_bytes(pack(f"<{len(q_j)}Q", *q_j), "little") for c, q_j in terms)
-        sums = unpack(f"<{len(p)}Q", words.to_bytes(8 * len(p), "little"))
-        return [(a - b) % self.p for a, b in zip(p, sums)]
+        terms, size = [(c, q_j) for c, q_j in zip(h, powers) if c], (2**64 - 1) // (self.p - 1) ** 2
+        for group in (terms[i : i + size] for i in range(0, len(terms), size)):
+            words = sum(c * int.from_bytes(pack(f"<{len(q_j)}Q", *q_j), "little") for c, q_j in group)
+            sums = unpack(f"<{len(p)}Q", words.to_bytes(8 * len(p), "little"))
+            p = [(a - b) % self.p for a, b in zip(p, sums)]
+        return p
 
     def __str__(self):
         return f"GF({self.p})"
@@ -519,7 +521,7 @@ class PolynomialRing(_Maps):
         if not isinstance(self.base, Domain):
             raise TypeError("base must be a Domain")
         check_variable(self.base, self.variable)
-        self._names = self.base._names | {self.variable}
+        self._names = (self.variable, *self.base._names)
         self._ground = ground_domain(self.base)
         # from the base's values: canonicalizing 0 and 1 would descend the tower
         self._zero, self._one = Terms(), Terms(self.base._join((self.base._one,)))
@@ -528,7 +530,7 @@ class PolynomialRing(_Maps):
         from .poly import Poly
 
         if isinstance(value, dict):  # a raw value, keyed by one exponent per level
-            n = len(next(iter(self._one)))
+            n = len(self._names)
             if type(value) is not Terms or not all(
                 type(k) is tuple and len(k) == n and all(type(e) is int and e >= 0 for e in k)
                 for k in value
@@ -546,11 +548,10 @@ class PolynomialRing(_Maps):
 
     def generator(self, name: str | None = None) -> Element:
         """The variable ``name`` (default: this level's own) as an element."""
-        if name is None or name == self.variable:
-            return Element(self, Terms(self.base._join((self.base._zero, self.base._one))))
-        if isinstance(self.base, PolynomialRing):
-            return self.element(self.base.generator(name))
-        raise ValueError(f"no variable {name!r} in this tower")
+        name = self.variable if name is None else name
+        if name not in self._names:
+            raise ValueError(f"no variable {name!r} in this tower")
+        return Element(self, Terms({tuple(int(v == name) for v in self._names): self._ground._one}))
 
     def _invert(self, a):
         # units of A[y] are the units of A: the nonzero ground constants
@@ -574,7 +575,7 @@ class PolynomialRing(_Maps):
         # r_i have level-l degree at most E_l/n times their weight, E_l the
         # largest deg_l(values[i]) * n // (n - i), and a product's pairs
         # weigh at most n, so fields of E_l.bit_length() bits never carry.
-        n, zeros = len(values) - 1, [0] * len(next(iter(self._one)))
+        n, zeros = len(values) - 1, [0] * len(self._names)
         tops = zeros
         for i, v in enumerate(values[:-1]):
             if v:

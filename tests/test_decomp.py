@@ -215,8 +215,9 @@ def test_verify_survives_degenerate_inner():
     )
     assert not verify(p, mismatched).reconstruction
 
-    # an r that cannot even be added to h(q) is reported, not raised
+    # an h that cannot take q, or an r that cannot even be added to h(q), is reported, not raised
     good = decompose(p, 3)
+    assert not verify(p, Decomposition(mismatched.h, good.q, good.r, 3)).reconstruction
     for r in (Poly.gen(QQ, "y"), Poly.gen(PrimeField(5), "x")):
         report = verify(p, Decomposition(good.h, good.q, r, 3))
         assert not report.reconstruction

@@ -264,14 +264,29 @@ def test_ground_helpers():
     assert descend(Rationals(), Fraction(3)) == (Rationals(), Fraction(3))
 
 
+def test_tower_names_are_outermost_first():
+    """_names lists a tower's variables in the order of a key's exponents."""
+    assert polynomial_tower(Rationals(), ["y", "z", "w"])._names == ("w", "z", "y")
+    assert polynomial_tower(PrimeField(7), ["a", "b"])._names == ("b", "a")
+    assert Rationals()._names == PrimeField(7)._names == ()
+
+
 def test_generator_lookup():
-    tower = polynomial_tower(Rationals(), ["a", "b", "c"])
-    for name in ("a", "b", "c"):
-        g = tower.generator(name)
-        assert g.domain == tower
-        assert not g.is_zero
-    with pytest.raises(ValueError):
-        tower.generator("missing")
+    """At every level, generator(name) is the variable as a Poly over the
+    base of the level that adjoins it, wrapped by ``element`` one level
+    at a time up to this one; a name the level lacks is a ValueError."""
+    for ground, names in ((Rationals(), ["y", "z", "w"]), (PrimeField(7), ["a", "b"])):
+        gens = {}
+        for k, name in enumerate(names):
+            level = polynomial_tower(ground, names[: k + 1])
+            gens = {v: level.element(g) for v, g in gens.items()}
+            gens[name] = level.element(Poly(level.base, name, [0, 1]))
+            for v, g in gens.items():
+                assert level.generator(v) == g
+            assert level.generator() == gens[name]
+            for missing in ("missing", *names[k + 1 :]):
+                with pytest.raises(ValueError, match=f"^no variable '{missing}' in this tower$"):
+                    level.generator(missing)
 
 
 def test_generators_multiply_like_variables():

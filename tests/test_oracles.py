@@ -964,12 +964,18 @@ def test_word_remainder_equals_the_default(p, d):
     assert list(dec.r.values) == words[: len(dec.r.values)] and not any(words[len(dec.r.values) :])
 
 
-@pytest.mark.parametrize("d, words", [(4, True), (5, False)])
-def test_word_remainder_at_its_bound(monkeypatch, d, words):
-    """Over GF(2^31 - 1), with every h_j below d - 1 and every power
-    value p - 1, d = 4 sums 4 powers within a word, 4 * (p - 1)^2 < 2^64,
-    and d = 5 sums 5, which could pass 2^64, so it takes the default."""
-    field, m, rng, calls = PrimeField(2**31 - 1), 3, random.Random(d), []
+WORD_GROUPS = [(2**31 - 1, 4), (2**31 - 1, 5), (2**31 - 1, 9), (2, 5), (3, 4)]
+
+
+@pytest.mark.parametrize("prime, d", WORD_GROUPS, ids=[f"GF({p})-d{d}" for p, d in WORD_GROUPS])
+def test_word_remainder_at_its_bound(monkeypatch, prime, d):
+    """With every h_j below d - 1 and every power value p - 1, a word sums
+    (p - 1)^2 per nonzero h_j, so the d nonzero h_j go in groups of
+    (2^64 - 1) // (p - 1)^2: 4 over GF(2^31 - 1), where d = 4, 5 and 9
+    take 1, 2 and 3 groups, and one group over GF(2) and GF(3).  Every d
+    stays on the words, and r is p minus the direct sum of h_j * q^j."""
+    field, m, rng, calls = PrimeField(prime), 3, random.Random(d), []
+    assert (2**64 - 1) // (prime - 1) ** 2 == {2**31 - 1: 4, 2: 2**64 - 1, 3: (2**64 - 1) // 4}[prime]
     original = Domain._remainder
     monkeypatch.setattr(Domain, "_remainder", lambda *args: calls.append(1) or original(*args))
     top = field.p - 1
@@ -978,11 +984,11 @@ def test_word_remainder_at_its_bound(monkeypatch, d, words):
     r = [rng.randrange(field.p) if i % m else 0 for i in range(d * m + 1)]
     p = [(c + sum(h_j * q_j[i] for h_j, q_j in zip(h, powers) if i < len(q_j))) % field.p for i, c in enumerate(r)]
     assert field._remainder(p, h, powers, m) == r
-    assert calls == ([] if words else [1])
     assert original(field, p, h, powers, m) == r
     # decompose on a sparse h at the same d
     p, h, q, r = _sparse_composition(rng, field, d, m)
     assert decompose(p, d) == decomp.Decomposition(h, q, r, d)
+    assert calls == []
 
 
 def test_sympy_chains_are_found_here():
